@@ -1,13 +1,13 @@
 """Microbenchmark harness for the batched tensor engine.
 
 Times the hot paths that the batched engine and the fused-kernel work
-rewrote — Q-network forward, the Double-DQN ``train_step``, the
-prioritized-replay ops, the fused QKV projection and the flat-buffer Adam —
-*before* (per-sample / unfused reference implementations) and *after*
-(batched / fused paths), and writes the timings to ``BENCH_engine.json``.
-A ``--dtype`` axis additionally reruns the forward/train_step benchmarks per
-precision, so the report records the float32-vs-float64 speedup of the
-compute core.
+rewrote — Q-network forward, the prioritized-replay ops, the fused QKV
+projection and the flat-buffer Adam — *before* (per-sample / unfused
+reference implementations) and *after* (batched / fused paths), plus the
+Double-DQN ``train_step`` alone in ms/step, and writes the timings to
+``BENCH_engine.json``.  A ``--dtype`` axis additionally reruns the
+forward/train_step benchmarks per precision, so the report records the
+float32-vs-float64 speedup of the compute core.
 
 Usage::
 
@@ -158,7 +158,8 @@ def build_learner(config: BenchConfig, schema, transformer, dtype: str = "float6
 
 
 # --------------------------------------------------------------------- #
-# Individual benchmarks: each returns (before_seconds, after_seconds).
+# Individual benchmarks: each returns (before_seconds, after_seconds),
+# except bench_train_step (milliseconds per step).
 # --------------------------------------------------------------------- #
 def bench_forward(
     config: BenchConfig, schema, transformer, dtype: str = "float64"
@@ -193,21 +194,14 @@ def bench_forward(
 
 def bench_train_step(
     config: BenchConfig, schema, transformer, dtype: str = "float64"
-) -> tuple[float, float]:
-    """Per-sample reference ``train_step_unbatched`` vs the batched engine.
+) -> float:
+    """Milliseconds per batched ``train_step``.
 
-    Both learners are built identically; the batched learner is warmed so the
-    timing reflects steady state (target caches populated, as during real
-    training between hard syncs).
+    The learner is warmed so the timing reflects steady state (target caches
+    populated, as during real training between hard syncs).
     """
-    learner_before, memory_before = build_learner(config, schema, transformer, dtype)
-    learner_after, memory_after = build_learner(config, schema, transformer, dtype)
-
-    before = _timeit(
-        lambda: learner_before.train_step_unbatched(memory_before), config.repeats_slow, 1
-    )
-    after = _timeit(lambda: learner_after.train_step(memory_after), config.repeats, config.warmup)
-    return before, after
+    learner, memory = build_learner(config, schema, transformer, dtype)
+    return 1e3 * _timeit(lambda: learner.train_step(memory), config.repeats, config.warmup)
 
 
 def bench_qkv_fused(config: BenchConfig, dtype: str = "float64") -> tuple[float, float]:
@@ -431,10 +425,11 @@ def run(config: BenchConfig, dtypes: list[str] | None = None) -> dict:
     transformer = StateTransformer(schema)
     dtypes = list(dtypes) if dtypes else ["float64"]
 
-    results: dict[str, dict[str, float]] = {}
+    results: dict[str, dict[str, float]] = {
+        "train_step": {"ms_per_step": bench_train_step(config, schema, transformer)}
+    }
     for name, runner in (
         ("forward", lambda: bench_forward(config, schema, transformer)),
-        ("train_step", lambda: bench_train_step(config, schema, transformer)),
         ("qkv_fused", lambda: bench_qkv_fused(config)),
         ("adam_flat", lambda: bench_adam_flat(config, schema, transformer)),
         ("replay_update", lambda: bench_replay_update(config)),
@@ -464,6 +459,9 @@ def run(config: BenchConfig, dtypes: list[str] | None = None) -> dict:
 def render(report: dict) -> str:
     lines = [f"{'op':<14} {'before':>12} {'after':>12} {'speedup':>9}"]
     for name, entry in report["results"].items():
+        if "ms_per_step" in entry:
+            lines.append(f"{name:<14} {'':>12} {entry['ms_per_step']:>10.2f}ms   ms/step")
+            continue
         lines.append(
             f"{name:<14} {entry['before_s'] * 1e3:>10.2f}ms {entry['after_s'] * 1e3:>10.2f}ms "
             f"{entry['speedup']:>8.1f}x"

@@ -1,6 +1,6 @@
-"""Multi-core scale-out benchmark: shards × replica threads × decision shards.
+"""Multi-core scale-out benchmark: shards × replica threads.
 
-Measures the three composable scale-out axes this codebase ships and — more
+Measures the two composable scale-out axes this codebase ships and — more
 importantly on a CI box — *verifies their exactness contracts* while doing
 so:
 
@@ -15,10 +15,6 @@ so:
 * **Threaded lockstep replicas** (``VectorizedRunner(replica_threads=T)``):
   R offline replicas run with T = 1 and T > 1 and must produce
   float-identical results; wall-clock per run is reported.
-* **Exact worker-partition decisions** (``replay_decisions(decision_shards
-  =P)``): the pure decision path at several shard counts; every P must rank
-  exactly the same number of arrivals (the bitwise ranking equivalence is
-  pinned by ``tests/core/test_decision_sharding.py``).
 
 ``--check`` gates **exactness and completion only** — sharded ≡ unsharded
 state, threaded ≡ single-threaded results, zero replay errors.  Speedup
@@ -54,7 +50,7 @@ import numpy as np
 
 from repro.api import build_policy
 from repro.datasets import generate_crowdspring
-from repro.eval import RunnerConfig, SimulationRunner, VectorizedRunner
+from repro.eval import RunnerConfig, VectorizedRunner
 from repro.nn import threads as nn_threads
 from repro.serve import ArrangementServer, ServeSpec, run_loadgen
 from repro.serve.shard import ShardedFrontend
@@ -72,7 +68,7 @@ TINY_DDQN = {"hidden_dim": 16, "num_heads": 2, "batch_size": 8, "train_interval"
 
 @dataclass
 class ScalingConfig:
-    """Grid shape for the three scale-out axes."""
+    """Grid shape for the two scale-out axes."""
 
     #: Dataset generation knobs (tenant/replica i uses seed ``i + 1``).
     scale: float = 0.03
@@ -86,9 +82,6 @@ class ScalingConfig:
     replicas: int = 4
     thread_counts: tuple[int, ...] = (1, 2)
     replica_arrivals: int = 20
-    #: Decision-shard grid.
-    decision_shards: tuple[int, ...] = (1, 2, 4)
-    decision_arrivals: int = 150
     checkpoint_every: int = 25
 
     @classmethod
@@ -100,8 +93,6 @@ class ScalingConfig:
             replicas=2,
             thread_counts=(1, 2),
             replica_arrivals=12,
-            decision_shards=(1, 2),
-            decision_arrivals=80,
         )
 
     def build_spec(self, tenants: int) -> ServeSpec:
@@ -327,40 +318,6 @@ def _replica_thread_grid(config: ScalingConfig, datasets) -> tuple[list[dict], b
     return rows, exact
 
 
-def _decision_grid(config: ScalingConfig, datasets) -> tuple[list[dict], bool]:
-    """Decision-shard rows; returns (rows, all counts agree)."""
-    dataset = datasets[0]
-    runner = SimulationRunner(dataset, RunnerConfig(seed=0, max_warmup_observations=12))
-    rows = []
-    counts = set()
-    for shards in config.decision_shards:
-        policy = build_policy("ddqn-worker", dataset, **dict(TINY_DDQN, seed=0))
-        started = time.perf_counter()
-        ranked = runner.replay_decisions(
-            policy,
-            batch_size=64,
-            max_arrivals=config.decision_arrivals,
-            decision_shards=shards,
-        )
-        elapsed = time.perf_counter() - started
-        counts.add(ranked)
-        rows.append(
-            {
-                "label": f"decisions-x{shards}shard",
-                "decision_shards": shards,
-                "arrivals_ranked": ranked,
-                "elapsed_s": elapsed,
-                "decisions_per_s": ranked / elapsed if elapsed > 0 else 0.0,
-            }
-        )
-    for row in rows:
-        base = next(r for r in rows if r["decision_shards"] == 1)
-        row["speedup_vs_1shard"] = (
-            base["elapsed_s"] / row["elapsed_s"] if row["elapsed_s"] > 0 else 0.0
-        )
-    return rows, len(counts) == 1
-
-
 def run(config: ScalingConfig, cache_dir: Path) -> dict:
     serve_rows, serve_exact = _serve_grid(config, cache_dir)
     datasets = [
@@ -368,9 +325,8 @@ def run(config: ScalingConfig, cache_dir: Path) -> dict:
         for seed in range(max(config.replicas, 1))
     ]
     replica_rows, replica_exact = _replica_thread_grid(config, datasets)
-    decision_rows, decision_exact = _decision_grid(config, datasets)
     return {
-        "benchmark": "multi-core scale-out: shards x replica threads x decision shards",
+        "benchmark": "multi-core scale-out: shards x replica threads",
         "config": asdict(config),
         "environment": {
             "python": platform.python_version(),
@@ -380,11 +336,9 @@ def run(config: ScalingConfig, cache_dir: Path) -> dict:
         },
         "serve": serve_rows,
         "replica_threads": replica_rows,
-        "decisions": decision_rows,
         "exactness": {
             "sharded_serve_state_identical": serve_exact,
             "threaded_replicas_identical": replica_exact,
-            "decision_shards_agree": decision_exact,
         },
     }
 
@@ -402,17 +356,11 @@ def render(report: dict) -> str:
             f"{row['label']:<22} {'-':>9} {'-':>9} {row['elapsed_s']:>8.2f} "
             f"{row['speedup_vs_1thread']:>7.2f}x {str(row['results_identical_to_1thread']):>6}"
         )
-    for row in report["decisions"]:
-        lines.append(
-            f"{row['label']:<22} {row['decisions_per_s']:>9.1f} {'-':>9} "
-            f"{row['elapsed_s']:>8.2f} {row['speedup_vs_1shard']:>7.2f}x {'-':>6}"
-        )
     exact = report["exactness"]
     lines.append(
         f"\nexactness: sharded serve state "
         f"{'PASS' if exact['sharded_serve_state_identical'] else 'FAIL'}, "
-        f"threaded replicas {'PASS' if exact['threaded_replicas_identical'] else 'FAIL'}, "
-        f"decision shards {'PASS' if exact['decision_shards_agree'] else 'FAIL'} "
+        f"threaded replicas {'PASS' if exact['threaded_replicas_identical'] else 'FAIL'} "
         f"(speedups informational; exactness is the gate)"
     )
     return "\n".join(lines)

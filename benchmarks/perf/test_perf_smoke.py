@@ -33,7 +33,9 @@ def test_quick_bench_runs_and_writes_report(tmp_path):
     on_disk = json.loads(output.read_text())
     assert on_disk["mode"] == "quick"
     assert set(on_disk["results"]) == EXPECTED_OPS
-    for entry in report["results"].values():
+    results = dict(report["results"])
+    assert results.pop("train_step")["ms_per_step"] > 0
+    for entry in results.values():
         assert entry["before_s"] > 0
         assert entry["after_s"] > 0
         assert entry["speedup"] > 0

@@ -9,13 +9,19 @@ from .framework import (
     TaskArrangementFramework,
     migrate_config_tree,
 )
-from .stacked import StackedForward, stack_signature, stackable
 from .trainer import AsyncTrainer, SnapshotNetwork, SyncTrainer, TrainerLoop
-from .vectorized import decide_lockstep, fused_q_values, fused_train_steps, observe_lockstep
+from .vectorized import decide_lockstep, fused_train_steps, observe_lockstep
 from .interfaces import ArrangementPolicy
 from .learner import DoubleDQNLearner, TrainStepReport
 from .predictor import FutureStatePredictorR, FutureStatePredictorW, expiry_branches
-from .qnetwork import SetQNetwork, pad_state_batch
+from .qnetwork import (
+    QScorer,
+    SetQNetwork,
+    pad_state_batch,
+    q_forward,
+    score_states,
+    stack_parameters,
+)
 from .replay import PrioritizedReplayMemory, ReplayMemory, SumTree, Transition, sample_fused
 from .state import StateMatrix, StateTransformer, pack_state_matrices, unpack_state_matrices
 
@@ -26,8 +32,12 @@ __all__ = [
     "pack_state_matrices",
     "unpack_state_matrices",
     "CHECKPOINT_FORMAT",
+    "QScorer",
     "SetQNetwork",
     "pad_state_batch",
+    "q_forward",
+    "score_states",
+    "stack_parameters",
     "ReplayMemory",
     "PrioritizedReplayMemory",
     "SumTree",
@@ -46,9 +56,6 @@ __all__ = [
     "FrameworkConfig",
     "TaskArrangementFramework",
     "migrate_config_tree",
-    "StackedForward",
-    "stack_signature",
-    "stackable",
     "TrainerLoop",
     "SyncTrainer",
     "AsyncTrainer",
@@ -56,5 +63,4 @@ __all__ = [
     "decide_lockstep",
     "observe_lockstep",
     "fused_train_steps",
-    "fused_q_values",
 ]

@@ -16,7 +16,6 @@ the evaluation runner treats it exactly like any baseline.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -28,15 +27,13 @@ from ..crowd.platform import ArrivalContext, Feedback
 from ..crowd.quality import DixitStiglitzQuality
 from ..nn.dtype import resolve_dtype
 from ..nn.serialization import load_checkpoint, save_checkpoint
-from ..nn.threads import max_threads
 from .agent import AgentConfig, DQNAgent
 from .aggregator import QValueAggregator
 from .explorer import EpsilonGreedyExplorer, GaussianPerturbationExplorer
 from .interfaces import ArrangementPolicy
 from .predictor import FutureStatePredictorR, FutureStatePredictorW
-from .qnetwork import SetQNetwork
+from .qnetwork import score_states
 from .replay import Transition
-from .sharding import pad_states_uniform, shard_slices
 from .state import StateMatrix, StateTransformer
 from .trainer import AsyncTrainer, SyncTrainer, TrainerLoop
 
@@ -300,14 +297,18 @@ class TaskArrangementFramework(ArrangementPolicy):
         self.trainer.before_decision()
         state_w, state_r = self._build_states(context)
         worker_q = (
-            self.trainer.q_values(self.agent_w, state_w) if self.agent_w is not None else None
+            self.trainer.scorer(self.agent_w).q_values(state_w)
+            if self.agent_w is not None
+            else None
         )
         requester_q = (
-            self.trainer.q_values(self.agent_r, state_r) if self.agent_r is not None else None
+            self.trainer.scorer(self.agent_r).q_values(state_r)
+            if self.agent_r is not None
+            else None
         )
         return self._decide(context, state_w, state_r, worker_q, requester_q)
 
-    def rank_tasks_batch(self, contexts, shards: int = 1) -> list[list[int]]:
+    def rank_tasks_batch(self, contexts) -> list[list[int]]:
         """Rank several independent arrivals with one padded forward per agent.
 
         The candidate states of every context are scored through
@@ -317,19 +318,7 @@ class TaskArrangementFramework(ArrangementPolicy):
         order, consuming the RNG exactly as the sequential loop would.
         Equivalent to sequential :meth:`rank_tasks` calls with no feedback in
         between (up to the batched engine's float tolerance).
-
-        ``shards > 1`` scores the batch through the exact map-reduce path:
-        candidate states are pre-padded to the global maximum row count
-        (:func:`repro.core.sharding.pad_states_uniform`), partitioned into
-        contiguous batch-axis chunks, scored chunk-by-chunk (on a thread
-        pool when the machine's thread budget allows — numpy releases the
-        GIL inside BLAS) and merged in order.  Every chunk's padded arrays
-        are exact batch-axis slices of the unsharded mega-batch, so the
-        merged Q values — and therefore the rankings and RNG consumption —
-        are bit-identical to ``shards=1``.
         """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         contexts = list(contexts)
         rankings: list[list[int]] = [[] for _ in contexts]
         scored = [i for i, context in enumerate(contexts) if context.available_tasks]
@@ -337,53 +326,22 @@ class TaskArrangementFramework(ArrangementPolicy):
             return rankings
         self.trainer.before_decision()
         states = [self._build_states(contexts[i]) for i in scored]
-        worker_qs = self._score_states(
-            self.agent_w, [state_w for state_w, _ in states], shards
-        )
-        requester_qs = self._score_states(
-            self.agent_r, [state_r for _, state_r in states], shards
-        )
+        worker_qs: list = [None] * len(scored)
+        requester_qs: list = [None] * len(scored)
+        if self.agent_w is not None:
+            worker_qs = self.trainer.scorer(self.agent_w).q_values_batch(
+                [state_w for state_w, _ in states]
+            )
+        if self.agent_r is not None:
+            requester_qs = self.trainer.scorer(self.agent_r).q_values_batch(
+                [state_r for _, state_r in states]
+            )
         for slot, i in enumerate(scored):
             state_w, state_r = states[slot]
             rankings[i] = self._decide(
                 contexts[i], state_w, state_r, worker_qs[slot], requester_qs[slot]
             )
         return rankings
-
-    def _score_states(
-        self, agent: DQNAgent | None, states: list[StateMatrix], shards: int
-    ) -> list[np.ndarray | None]:
-        """Q-value arrays for ``states``, optionally via sharded map-reduce.
-
-        ``shards=1`` is the historical single mega-batch.  With more shards
-        the (pre-padded, see :func:`pad_states_uniform`) batch is split into
-        contiguous chunks and each chunk scored by its own
-        ``trainer.q_values_batch`` call; chunks run concurrently on a thread
-        pool capped at the machine's thread budget (never warning — decision
-        sharding degrades to serial chunk scoring on a small box, still
-        bit-identical).  The merge is a plain ordered concatenation.
-        """
-        if agent is None:
-            return [None] * len(states)
-        if shards <= 1 or len(states) <= 1:
-            return self.trainer.q_values_batch(agent, states)
-        uniform = pad_states_uniform(states)
-        slices = shard_slices(len(uniform), shards)
-        if len(slices) <= 1:
-            return self.trainer.q_values_batch(agent, states)
-        chunks = [uniform[chunk] for chunk in slices]
-        workers = min(len(chunks), max_threads())
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(lambda chunk: self.trainer.q_values_batch(agent, chunk), chunks)
-                )
-        else:
-            parts = [self.trainer.q_values_batch(agent, chunk) for chunk in chunks]
-        merged: list[np.ndarray | None] = []
-        for part in parts:
-            merged.extend(part)
-        return merged
 
     def _decide(
         self,
@@ -501,11 +459,13 @@ class TaskArrangementFramework(ArrangementPolicy):
     def measure_drift(self, context: ArrivalContext) -> dict:
         """Q-value drift of the configured precision against a float64 mirror.
 
-        Pure inference: the online networks' weights are upcast into fresh
-        float64 mirrors (``load_state_dict`` casts in place) and both score
-        the arrival's own state.  No RNG is drawn and no learner state is
-        touched, so probing never perturbs the run.  Under a float64 config
-        the mirrors are exact copies and both deltas are identically zero.
+        Pure inference on the parameters decisions are served from (the live
+        networks, or the async trainer's snapshots, which only the decision
+        thread writes): those parameters are upcast to float64 and both
+        precisions score the arrival's own state.  No RNG is drawn and no
+        learner state is touched, so probing never perturbs the run.  Under a
+        float64 config both scorings are the same computation and both deltas
+        are identically zero.
         """
         reading = {
             "dtype": self.config.dtype,
@@ -519,16 +479,13 @@ class TaskArrangementFramework(ArrangementPolicy):
         for agent, state in ((self.agent_w, state_w), (self.agent_r, state_r)):
             if agent is None or state is None:
                 continue
-            network = agent.network
-            mirror = SetQNetwork(
-                input_dim=network.input_dim,
-                hidden_dim=network.hidden_dim,
-                num_heads=network.num_heads,
-                dtype="float64",
-            )
-            mirror.load_state_dict(network.state_dict())
-            native = np.asarray(network.q_values(state), dtype=np.float64)
-            reference = np.asarray(mirror.q_values(state), dtype=np.float64)
+            scorer = self.trainer.scorer(agent)
+            mirror = {
+                name: array.astype(np.float64)
+                for name, array in scorer.parameter_arrays().items()
+            }
+            native = np.asarray(scorer.q_values(state), dtype=np.float64)
+            reference = score_states(mirror, scorer.num_heads, [state])[0]
             abs_diff = np.abs(native - reference)
             scale = np.maximum(np.abs(reference), 1e-12)
             reading["max_abs"] = max(reading["max_abs"], float(abs_diff.max()))

@@ -47,9 +47,7 @@ class ArrangementPolicy(abc.ABC):
         elements, and the full recommended list is the whole ranking.
         """
 
-    def rank_tasks_batch(
-        self, contexts: Sequence[ArrivalContext], shards: int = 1
-    ) -> list[list[int]]:
+    def rank_tasks_batch(self, contexts: Sequence[ArrivalContext]) -> list[list[int]]:
         """Rank several *independent* arrivals in one call.
 
         Semantically equivalent to calling :meth:`rank_tasks` once per
@@ -58,16 +56,7 @@ class ArrangementPolicy(abc.ABC):
         forward override this to push all candidate states through one padded
         batch (see ``TaskArrangementFramework.rank_tasks_batch``), which is
         what the decision-throughput harness and frozen-policy scoring use.
-
-        ``shards`` requests the exact map-reduce scoring path: the batch is
-        partitioned into ``shards`` contiguous chunks, scored independently,
-        and merged — bit-identical to ``shards=1`` (see
-        :mod:`repro.core.sharding`).  Policies that score serially per
-        context are trivially shard-invariant, so the default implementation
-        only validates the value and otherwise ignores it.
         """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         return [self.rank_tasks(context) for context in contexts]
 
     @abc.abstractmethod

@@ -18,15 +18,16 @@ parameter copy every ``target_sync_interval`` updates (the paper copies
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..nn import Adam, Tensor, no_grad
 from .qnetwork import SetQNetwork
 from .replay import PrioritizedReplayMemory, ReplayMemory, Transition
+from .state import StateMatrix
 
-__all__ = ["DoubleDQNLearner", "TrainStepReport"]
+__all__ = ["DoubleDQNLearner", "TargetBranches", "TrainStepReport"]
 
 
 @dataclass
@@ -37,6 +38,75 @@ class TrainStepReport:
     mean_abs_td_error: float
     batch_size: int
     gradient_norm: float
+
+
+@dataclass
+class TargetBranches:
+    """The non-empty future-state branches behind a batch's Bellman targets.
+
+    :meth:`DoubleDQNLearner.td_targets_batch` and the lockstep group trainer
+    (:mod:`repro.core.vectorized`) share this bookkeeping and differ only in
+    how they run its two forwards: the *target* network on the branches
+    whose memoised Q-vector is stale (:meth:`uncached`, stored back by
+    :meth:`memoise`) and the *online* network on every branch, whose argmax
+    picks the action the target network evaluates (:meth:`targets`).
+    """
+
+    learner: "DoubleDQNLearner"
+    rewards: np.ndarray
+    states: list[StateMatrix] = field(default_factory=list)
+    owner: list[int] = field(default_factory=list)
+    prob: list[float] = field(default_factory=list)
+    source: list[tuple[Transition, int]] = field(default_factory=list)
+
+    @classmethod
+    def collect(
+        cls, learner: "DoubleDQNLearner", transitions: list[Transition]
+    ) -> "TargetBranches":
+        branches = cls(learner, np.array([t.reward for t in transitions], dtype=np.float64))
+        for i, transition in enumerate(transitions):
+            for slot, (probability, future_state) in enumerate(transition.future_states):
+                if future_state.num_tasks == 0:
+                    continue
+                branches.states.append(future_state)
+                branches.owner.append(i)
+                branches.prob.append(probability)
+                branches.source.append((transition, slot))
+        return branches
+
+    def uncached(self) -> list[int]:
+        """Branches whose target Q-vector was not memoised since the last sync."""
+        version = self.learner._target_version
+        return [
+            j
+            for j, (transition, _) in enumerate(self.source)
+            if transition.target_cache_version != version
+        ]
+
+    def memoise(self, indices: list[int], values: np.ndarray) -> None:
+        """Store target-network rows ``values[k]`` for branches ``indices[k]``."""
+        version = self.learner._target_version
+        for row, j in enumerate(indices):
+            transition, slot = self.source[j]
+            if transition.target_cache_version != version:
+                transition.target_cache = [None] * len(transition.future_states)
+                transition.target_cache_version = version
+            transition.target_cache[slot] = values[row, : self.states[j].num_tasks].copy()
+
+    def targets(self, online_values: np.ndarray) -> np.ndarray:
+        """Rewards plus discounted expected target values at the online argmax."""
+        # Restrict the argmax to each branch's real tasks (rows beyond
+        # num_tasks are padding added by the batching).
+        counts = np.array([state.num_tasks for state in self.states])
+        columns = np.arange(online_values.shape[1])
+        padded = columns[np.newaxis, :] >= counts[:, np.newaxis]
+        best_actions = np.argmax(np.where(padded, -np.inf, online_values), axis=1)
+        branch_values = np.empty(len(self.states), dtype=np.float64)
+        for j, (transition, slot) in enumerate(self.source):
+            branch_values[j] = transition.target_cache[slot][best_actions[j]]
+        expected_future = np.zeros(len(self.rewards), dtype=np.float64)
+        np.add.at(expected_future, np.asarray(self.owner), np.asarray(self.prob) * branch_values)
+        return self.rewards + self.learner.gamma * expected_future
 
 
 class DoubleDQNLearner:
@@ -77,21 +147,6 @@ class DoubleDQNLearner:
 
     # ------------------------------------------------------------------ #
     @no_grad()
-    def td_target(self, transition: Transition) -> float:
-        """Compute the revised Bellman target for one transition (no grad)."""
-        if not transition.future_states:
-            return float(transition.reward)
-        expected_future = 0.0
-        for probability, future_state in transition.future_states:
-            if future_state.num_tasks == 0:
-                continue
-            online_values = self.online.q_values(future_state)
-            best_action = int(np.argmax(online_values))
-            target_values = self.target.q_values(future_state)
-            expected_future += probability * float(target_values[best_action])
-        return float(transition.reward) + self.gamma * expected_future
-
-    @no_grad()
     def td_targets_batch(self, transitions: list[Transition]) -> np.ndarray:
         """Revised Bellman targets for a whole batch in two batched forwards.
 
@@ -102,66 +157,18 @@ class DoubleDQNLearner:
         Q-vectors are additionally memoised on the transition (the target
         network is frozen between hard syncs and ``future_states`` is
         immutable), so in steady state only branches that have never been
-        seen since the last sync cost a target forward.  Matches
-        :meth:`td_target` to float tolerance.
+        seen since the last sync cost a target forward.  Matches the
+        per-transition reference in ``tests/core/reference.py`` to float
+        tolerance.
         """
-        rewards = np.array([t.reward for t in transitions], dtype=np.float64)
-        branch_states = []
-        branch_owner: list[int] = []
-        branch_prob: list[float] = []
-        branch_source: list[tuple[Transition, int]] = []
-        for i, transition in enumerate(transitions):
-            for slot, (probability, future_state) in enumerate(transition.future_states):
-                if future_state.num_tasks == 0:
-                    continue
-                branch_states.append(future_state)
-                branch_owner.append(i)
-                branch_prob.append(probability)
-                branch_source.append((transition, slot))
-        if not branch_states:
-            return rewards
-
-        total = len(branch_states)
-        version = self._target_version
-        uncached = [
-            j
-            for j, (transition, _) in enumerate(branch_source)
-            if transition.target_cache_version != version
-        ]
+        branches = TargetBranches.collect(self, transitions)
+        if not branches.states:
+            return branches.rewards
+        uncached = branches.uncached()
         if uncached:
-            fresh = self.target.forward_batch([branch_states[j] for j in uncached]).numpy()
-            for row, j in enumerate(uncached):
-                transition, slot = branch_source[j]
-                if transition.target_cache_version != version:
-                    transition.target_cache = [None] * len(transition.future_states)
-                    transition.target_cache_version = version
-                transition.target_cache[slot] = fresh[row, : branch_states[j].num_tasks].copy()
-
-        online_values = self.online.forward_batch(branch_states).numpy()
-
-        # Restrict the argmax to each branch's real tasks (rows beyond
-        # num_tasks are padding added by the batching).
-        counts = np.array([state.num_tasks for state in branch_states])
-        columns = np.arange(online_values.shape[1])
-        padded = columns[np.newaxis, :] >= counts[:, np.newaxis]
-        best_actions = np.argmax(np.where(padded, -np.inf, online_values), axis=1)
-        branch_values = np.empty(total, dtype=np.float64)
-        for j, (transition, slot) in enumerate(branch_source):
-            branch_values[j] = transition.target_cache[slot][best_actions[j]]
-
-        expected_future = np.zeros(len(transitions), dtype=np.float64)
-        np.add.at(
-            expected_future,
-            np.asarray(branch_owner),
-            np.asarray(branch_prob) * branch_values,
-        )
-        return rewards + self.gamma * expected_future
-
-    def td_error(self, transition: Transition) -> float:
-        """Signed TD error of ``transition`` under the current networks."""
-        target = self.td_target(transition)
-        prediction = float(self.online.q_values(transition.state)[transition.action_index])
-        return target - prediction
+            fresh = self.target.forward_batch([branches.states[j] for j in uncached]).numpy()
+            branches.memoise(uncached, fresh)
+        return branches.targets(self.online.forward_batch(branches.states).numpy())
 
     # ------------------------------------------------------------------ #
     def train_step(
@@ -173,8 +180,9 @@ class DoubleDQNLearner:
         forwards (:meth:`td_targets_batch`) and all predictions plus the
         weighted loss form **one** autograd graph over a padded
         ``(B, rows, dim)`` mega-batch, instead of ``O(batch_size)`` separate
-        graphs.  Numerically it matches :meth:`train_step_unbatched` (same
-        RNG draws, same targets to float tolerance).
+        graphs.  Numerically it matches the per-sample reference in
+        ``tests/core/reference.py`` (same RNG draws, same targets to float
+        tolerance).
 
         Returns ``None`` when the memory is still empty.
         """
@@ -208,34 +216,6 @@ class DoubleDQNLearner:
 
         # Targets and IS weights join the loss graph in the network's compute
         # dtype, so a float32 network never silently promotes back to float64.
-        dtype = self.online.dtype
-        weight_tensor = Tensor(np.asarray(weights, dtype=dtype))
-        diff = stacked - Tensor(np.asarray(targets, dtype=dtype))
-        loss = (weight_tensor * diff * diff).mean()
-
-        return self._apply_update(memory, loss, targets, stacked.numpy(), indices, len(transitions))
-
-    def train_step_unbatched(
-        self, memory: ReplayMemory | PrioritizedReplayMemory
-    ) -> TrainStepReport | None:
-        """Reference per-sample implementation of :meth:`train_step`.
-
-        Kept for the equivalence tests and the perf benchmark: it builds one
-        autograd graph per sampled transition and two forwards per future
-        branch, exactly like the original learner.
-        """
-        if len(memory) == 0:
-            return None
-        transitions, indices, weights = memory.sample(self.batch_size)
-
-        targets = np.array([self.td_target(t) for t in transitions], dtype=np.float64)
-
-        predictions = []
-        for transition in transitions:
-            values = self.online.forward(transition.state.matrix, mask=transition.state.mask)
-            predictions.append(values[transition.action_index])
-        stacked = Tensor.stack(predictions, axis=0)
-
         dtype = self.online.dtype
         weight_tensor = Tensor(np.asarray(weights, dtype=dtype))
         diff = stacked - Tensor(np.asarray(targets, dtype=dtype))

@@ -15,11 +15,31 @@ Architecture, following the paper:
 Because all layers are permutation-invariant over rows, reordering the
 available tasks permutes the output Q values identically, and padding rows
 are masked out of the attention softmax so they cannot influence real tasks.
+
+The forward is written once, as :func:`q_forward` over a name→array
+parameter mapping whose arrays carry a leading replica axis ``N``.  Callers
+only choose the parameters:
+
+* :class:`SetQNetwork` passes zero-copy ``N = 1`` views of its own
+  parameters — :class:`~repro.nn.Tensor` views build the training graph,
+  plain-array views run inference with no graph nodes;
+* lockstep replicas (:mod:`repro.core.vectorized`) stack N networks'
+  parameters (:func:`stack_parameters`; ``Tensor.stack``'s backward hands
+  each network its own gradient slice);
+* an async snapshot (:class:`repro.core.trainer.SnapshotNetwork`) passes
+  ``N = 1`` views into its copy of the optimiser's flat buffer.
+
+numpy evaluates a ``(N, m, k) @ (N, k, n)`` matmul as N independent 2-D
+GEMMs whose slices are bit-identical to the separate calls, and every other
+op acts per slice, so slice ``i`` of an N-stacked call equals the ``N = 1``
+call on replica ``i`` bit for bit (pinned by
+``tests/core/test_stacked_equivalence.py``).  Scoring one state is the
+``B = 1`` case of scoring a batch.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,12 +48,20 @@ from ..nn import (
     MultiHeadSelfAttention,
     RowwiseFeedForward,
     Tensor,
-    no_grad,
+    is_grad_enabled,
     resolve_dtype,
 )
+from ..nn.functional import multi_head_attention, relu
 from .state import StateMatrix
 
-__all__ = ["SetQNetwork", "pad_state_batch"]
+__all__ = [
+    "QScorer",
+    "SetQNetwork",
+    "pad_state_batch",
+    "q_forward",
+    "score_states",
+    "stack_parameters",
+]
 
 
 def pad_state_batch(
@@ -72,7 +100,118 @@ def pad_state_batch(
     return batch, mask
 
 
-class SetQNetwork(Module):
+# --------------------------------------------------------------------- #
+# The forward, over an (N, …) parameter stack
+# --------------------------------------------------------------------- #
+def _linear(x, params: Mapping, prefix: str):
+    """Affine map of every row of an ``(N, B, rows, K)`` input, one GEMM per replica.
+
+    The batch and row axes are flattened into the GEMM row axis.  The
+    single-column value head is the exception: it keeps one
+    ``(rows, K) @ (K, 1)`` product per batch item, so each row's bits never
+    depend on the batch size (see ``nn.Linear.forward``).
+    """
+    weight = params[f"{prefix}.weight"]
+    bias = params[f"{prefix}.bias"]
+    n, in_features, out_features = weight.shape
+    if out_features == 1:
+        return x @ weight.reshape((n, 1, in_features, 1)) + bias.reshape((n, 1, 1, 1))
+    out = x.reshape((n, -1, in_features)) @ weight + bias.reshape((n, 1, out_features))
+    return out.reshape(x.shape[:-1] + (out_features,))
+
+
+def _attention(x, params: Mapping, prefix: str, mask: np.ndarray | None, num_heads: int):
+    """Masked multi-head self-attention block of an ``(N, B, rows, E)`` input."""
+    n, _, _, embed_dim = x.shape
+    weight = params[f"{prefix}.in_proj_weight"]
+    bias = params[f"{prefix}.in_proj_bias"]
+    qkv = x.reshape((n, -1, embed_dim)) @ weight + bias.reshape((n, 1, 3 * embed_dim))
+    merged = multi_head_attention(qkv, x.shape[:-1], num_heads, mask=mask)
+    return _linear(merged, params, f"{prefix}.output_proj")
+
+
+def q_forward(
+    params: Mapping[str, Tensor | np.ndarray],
+    batch: np.ndarray,
+    mask: np.ndarray | None,
+    num_heads: int,
+):
+    """Q values of N stacked networks, each on its own padded batch.
+
+    ``params`` maps :class:`SetQNetwork` parameter names to ``(N, …)``
+    stacks, ``batch`` is ``(N, B, rows, input_dim)`` and ``mask`` (True =
+    padding row) is ``(N, B, rows)``.  Returns ``(N, B, rows)``: a graph
+    :class:`~repro.nn.Tensor` when the parameters are tensors, a plain array
+    when they are arrays.
+    """
+    x = Tensor(batch) if isinstance(params["embed_1.linear.weight"], Tensor) else batch
+    hidden = relu(_linear(x, params, "embed_1.linear"))
+    hidden = relu(_linear(hidden, params, "embed_2.linear"))
+    attended = _attention(hidden, params, "attention_1", mask, num_heads)
+    # Residual connection + row-wise layer ("helps keeping the network stable").
+    hidden = relu(_linear(attended + hidden, params, "post_attention.linear"))
+    hidden = _attention(hidden, params, "attention_2", mask, num_heads) + hidden
+    values = _linear(hidden, params, "value_head.linear")
+    return values.reshape(values.shape[:-1])
+
+
+def stack_parameters(maps: Sequence[Mapping[str, Tensor | np.ndarray]]) -> dict:
+    """``name → (N, …)`` stacks of N same-architecture parameter mappings.
+
+    ``N = 1`` is a zero-copy view (a reshape node for tensors).  Larger
+    stacks copy; for tensors ``Tensor.stack``'s backward deposits each
+    network's gradient slice into its own parameters.
+    """
+    first = maps[0]
+    if len(maps) == 1:
+        return {name: value.reshape((1,) + value.shape) for name, value in first.items()}
+    if isinstance(next(iter(first.values())), Tensor):
+        return {name: Tensor.stack([params[name] for params in maps]) for name in first}
+    return {name: np.array([params[name] for params in maps]) for name in first}
+
+
+def score_states(
+    arrays: Mapping[str, np.ndarray], num_heads: int, states: Sequence[StateMatrix]
+) -> list[np.ndarray]:
+    """Q values of each state's real tasks under one parameter set (no graph).
+
+    ``arrays`` maps parameter names to plain arrays without a replica axis;
+    the states are padded into one batch in the parameters' dtype.
+    """
+    if not states:
+        return []
+    dtype = next(iter(arrays.values())).dtype
+    batch, mask = pad_state_batch(states, dtype=dtype)
+    params = stack_parameters([arrays])
+    values = q_forward(params, batch[np.newaxis], mask[np.newaxis], num_heads)[0]
+    return [values[i, : state.num_tasks].copy() for i, state in enumerate(states)]
+
+
+class QScorer:
+    """Something decisions score on: one parameter set of a set Q-network.
+
+    Subclasses provide :meth:`parameter_arrays` plus ``num_heads``, ``dtype``
+    and ``signature`` (scorers with equal signatures stack into one call).
+    """
+
+    num_heads: int
+    dtype: np.dtype
+    signature: tuple
+
+    def parameter_arrays(self) -> dict[str, np.ndarray]:
+        """The current parameters as plain arrays (no replica axis, no copy)."""
+        raise NotImplementedError
+
+    def q_values(self, state: StateMatrix) -> np.ndarray:
+        """Q values for the *real* tasks of ``state``."""
+        return self.q_values_batch([state])[0]
+
+    def q_values_batch(self, states: Sequence[StateMatrix]) -> list[np.ndarray]:
+        """Per-state Q value arrays for the real tasks, in one padded forward."""
+        return score_states(self.parameter_arrays(), self.num_heads, states)
+
+
+class SetQNetwork(QScorer, Module):
     """Estimates one Q value per available task from a state matrix.
 
     Parameters
@@ -108,6 +247,7 @@ class SetQNetwork(Module):
         self.hidden_dim = hidden_dim
         self.num_heads = num_heads
         self.dtype = dtype
+        self.signature = (input_dim, hidden_dim, num_heads, np.dtype(dtype).name)
 
         self.embed_1 = RowwiseFeedForward(input_dim, hidden_dim, rng=rng, dtype=dtype)
         self.embed_2 = RowwiseFeedForward(hidden_dim, hidden_dim, rng=rng, dtype=dtype)
@@ -117,6 +257,12 @@ class SetQNetwork(Module):
         self.value_head = RowwiseFeedForward(
             hidden_dim, 1, activation=False, rng=rng, dtype=dtype
         )
+        #: Parameter objects never change after construction (optimisers
+        #: re-point ``param.data``, not the parameters), so the map is built once.
+        self.parameter_map: dict[str, Tensor] = dict(self.named_parameters())
+
+    def parameter_arrays(self) -> dict[str, np.ndarray]:
+        return {name: param.data for name, param in self.parameter_map.items()}
 
     # ------------------------------------------------------------------ #
     def forward(self, state: Tensor | np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -125,22 +271,19 @@ class SetQNetwork(Module):
         ``state`` is a single state matrix ``(rows, input_dim)`` (returning a
         ``(rows,)`` tensor) or a padded batch ``(batch, rows, input_dim)``
         (returning ``(batch, rows)``); ``mask`` has the matching leading
-        shape and marks padding rows.
+        shape and marks padding rows.  The input is cast to the network's
+        dtype on entry; gradients flow to the parameters only.
         """
-        if isinstance(state, Tensor):
-            # Re-wrap mismatched-precision tensors so one float64 input can
-            # never silently promote a float32 network's whole forward.
-            x = state if state.data.dtype == self.dtype else Tensor(state.data, dtype=self.dtype)
-        else:
-            x = Tensor(np.asarray(state, dtype=self.dtype))
-        hidden = self.embed_1(x)
-        hidden = self.embed_2(hidden)
-        attended = self.attention_1(hidden, mask=mask)
-        # Residual connection + row-wise layer ("helps keeping the network stable").
-        hidden = self.post_attention(attended + hidden)
-        hidden = self.attention_2(hidden, mask=mask) + hidden
-        values = self.value_head(hidden)
-        return values.reshape(values.shape[:-1])
+        data = np.asarray(state.data if isinstance(state, Tensor) else state, dtype=self.dtype)
+        out_shape = data.shape[:-1]
+        batch = data.reshape((1, -1) + data.shape[-2:])
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool).reshape(batch.shape[:-1])
+        # Graph tensors when gradients are on, plain arrays (no graph) otherwise.
+        source = self.parameter_map if is_grad_enabled() else self.parameter_arrays()
+        values = q_forward(stack_parameters([source]), batch, mask, self.num_heads)
+        values = values.reshape(out_shape)
+        return values if isinstance(values, Tensor) else Tensor(values)
 
     def forward_batch(self, states: Sequence[StateMatrix]) -> Tensor:
         """One forward pass for a whole list of states.
@@ -152,36 +295,7 @@ class SetQNetwork(Module):
         ``[i, : states[i].num_tasks]`` are meaningful.
         """
         batch, mask = pad_state_batch(states, dtype=self.dtype)
-        return self.forward(Tensor(batch), mask=mask)
-
-    # ------------------------------------------------------------------ #
-    @no_grad()
-    def q_values(self, state: StateMatrix) -> np.ndarray:
-        """Inference helper: Q values for the *real* tasks of ``state`` (no grad)."""
-        if state.num_tasks == 0:
-            return np.zeros(0, dtype=self.dtype)
-        values = self.forward(state.matrix, mask=state.mask)
-        return values.numpy()[: state.num_tasks].copy()
-
-    @no_grad()
-    def q_values_batch(self, states: Sequence[StateMatrix]) -> list[np.ndarray]:
-        """Batched inference helper: per-state Q value arrays for the real tasks."""
-        if not states:
-            return []
-        values = self.forward_batch(states).numpy()
-        return [values[i, : state.num_tasks].copy() for i, state in enumerate(states)]
-
-    def max_q(self, state: StateMatrix) -> float:
-        """``max_a Q(s, a)`` over the real tasks (0 when the pool is empty)."""
-        values = self.q_values(state)
-        return float(values.max()) if values.size else 0.0
-
-    def greedy_action(self, state: StateMatrix) -> int | None:
-        """Index (into ``state.task_ids``) of the best task, or None if empty."""
-        values = self.q_values(state)
-        if values.size == 0:
-            return None
-        return int(np.argmax(values))
+        return self.forward(batch, mask=mask)
 
     def clone(self) -> "SetQNetwork":
         """Create a structurally identical network with copied parameters.

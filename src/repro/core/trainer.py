@@ -22,6 +22,10 @@ Two :class:`TrainerLoop` implementations realise that split:
   published buffer — no lock is ever held across a forward or a train step,
   only across memcpys.
 
+Either way the framework asks the loop for the :meth:`TrainerLoop.scorer` of
+an agent (the live network, or its snapshot) and scores on it through the
+one Q-network forward of :mod:`repro.core.qnetwork`.
+
 Async mode is **not** bit-identical to serial (decisions see slightly stale
 parameters and the trainer may skip cadence steps it cannot keep up with).
 It is pinned by *seeded-queue determinism* instead: with a fixed handoff
@@ -40,9 +44,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .qnetwork import pad_state_batch
-from .stacked import StackedForward, _parameter_map
-from .state import StateMatrix
+from .qnetwork import QScorer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (agent imports nothing here)
     from .agent import DQNAgent
@@ -55,18 +57,14 @@ __all__ = ["TrainerLoop", "SyncTrainer", "AsyncTrainer", "SnapshotNetwork"]
 TrainingPlan = "list[tuple[DQNAgent, list[Transition]]]"
 
 
-class SnapshotNetwork:
+class SnapshotNetwork(QScorer):
     """Frozen view of one agent's online network for lock-free decisions.
 
     All parameters live in one contiguous flat vector laid out exactly like
     the agent optimiser's flat buffer (:attr:`Optimizer._flat_params`), so
-    refreshing the snapshot is a single ``memcpy``-like copy.  Forwards run
-    through the raw-numpy inference mirror of :class:`StackedForward` with
-    ``N = 1`` — per-slice bit-identical to the serial network (pinned by
-    ``tests/core/test_stacked_equivalence.py``) — with the mirror's weight
-    stacks re-pointed at ``(1, …)`` views of the snapshot's own flat vector,
-    so a refresh instantly swaps every layer's weights without rebuilding
-    anything.
+    refreshing the snapshot is a single ``memcpy``-like copy.  Its parameter
+    arrays are views into that vector, which the Q-network forward scores on
+    exactly as it scores on the live network's own parameters.
     """
 
     def __init__(self, agent: "DQNAgent") -> None:
@@ -75,18 +73,20 @@ class SnapshotNetwork:
         optimizer = agent.learner.optimizer
         optimizer._adopt_strays()
         self._flat = optimizer._flat_params.copy()
+        self.num_heads = network.num_heads
         self.dtype = network.dtype
-        self._mirror = StackedForward([network])
+        self.signature = network.signature
         segments = {
             id(param): (start, stop, shape)
             for param, start, stop, shape in optimizer._segments()
         }
-        self._mirror._arrays = {
-            name: self._flat[segments[id(param)][0] : segments[id(param)][1]].reshape(
-                (1,) + segments[id(param)][2]
-            )
-            for name, param in _parameter_map(network).items()
-        }
+        self._arrays = {}
+        for name, param in network.parameter_map.items():
+            start, stop, shape = segments[id(param)]
+            self._arrays[name] = self._flat[start:stop].reshape(shape)
+
+    def parameter_arrays(self) -> dict[str, np.ndarray]:
+        return self._arrays
 
     def refresh(self, source: np.ndarray | None = None) -> None:
         """Copy new parameters into the snapshot (one contiguous copy).
@@ -101,28 +101,14 @@ class SnapshotNetwork:
             source = optimizer._flat_params
         np.copyto(self._flat, source)
 
-    def q_values(self, state: StateMatrix) -> np.ndarray:
-        """Snapshot Q-values of the real tasks (mirrors ``SetQNetwork.q_values``)."""
-        if state.num_tasks == 0:
-            return np.zeros(0, dtype=self.dtype)
-        return self._mirror.q_values_single([state])[0]
-
-    def q_values_batch(self, states: Sequence[StateMatrix]) -> list[np.ndarray]:
-        """Per-state Q-value arrays in one padded forward (no autograd graph)."""
-        if not states:
-            return []
-        batch, mask = pad_state_batch(states, dtype=self.dtype)
-        values = self._mirror.infer_batch([(batch, mask)])[0]
-        return [values[i, : state.num_tasks].copy() for i, state in enumerate(states)]
-
 
 class TrainerLoop:
     """How one framework's training plans get executed.
 
-    The framework builds a plan per feedback (:meth:`submit`), asks the loop
-    for Q-values at decision time (:meth:`q_values` / :meth:`q_values_batch`,
-    preceded by one :meth:`before_decision`), and synchronises at checkpoint
-    and shutdown boundaries (:meth:`drain` / :meth:`close`).
+    The framework builds a plan per feedback (:meth:`submit`), scores each
+    decision on the agents' :meth:`scorer` after one :meth:`before_decision`,
+    and synchronises at checkpoint and shutdown boundaries (:meth:`drain` /
+    :meth:`close`).
     """
 
     def submit(self, plan) -> None:
@@ -131,10 +117,8 @@ class TrainerLoop:
     def before_decision(self) -> None:
         """Hook before each decision (parameter refresh / handoff barrier)."""
 
-    def q_values(self, agent: "DQNAgent", state: StateMatrix) -> np.ndarray:
-        raise NotImplementedError
-
-    def q_values_batch(self, agent: "DQNAgent", states: Sequence[StateMatrix]) -> list[np.ndarray]:
+    def scorer(self, agent: "DQNAgent") -> QScorer:
+        """The parameters ``agent``'s decisions score on."""
         raise NotImplementedError
 
     def drain(self) -> None:
@@ -160,11 +144,8 @@ class SyncTrainer(TrainerLoop):
                 if agent.should_train():
                     agent.record_report(agent.learner.train_step(agent.memory))
 
-    def q_values(self, agent: "DQNAgent", state: StateMatrix) -> np.ndarray:
-        return agent.q_values(state)
-
-    def q_values_batch(self, agent: "DQNAgent", states: Sequence[StateMatrix]) -> list[np.ndarray]:
-        return agent.q_values_batch(states)
+    def scorer(self, agent: "DQNAgent") -> QScorer:
+        return agent.network
 
 
 class AsyncTrainer(TrainerLoop):
@@ -283,11 +264,8 @@ class AsyncTrainer(TrainerLoop):
         for snapshot in self._snapshots.values():
             snapshot.refresh()
 
-    def q_values(self, agent: "DQNAgent", state: StateMatrix) -> np.ndarray:
-        return self._snapshots[id(agent)].q_values(state)
-
-    def q_values_batch(self, agent: "DQNAgent", states: Sequence[StateMatrix]) -> list[np.ndarray]:
-        return self._snapshots[id(agent)].q_values_batch(states)
+    def scorer(self, agent: "DQNAgent") -> QScorer:
+        return self._snapshots[id(agent)]
 
     def drain(self) -> None:
         """Execute everything submitted so far, then refresh the snapshots.

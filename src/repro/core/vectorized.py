@@ -7,18 +7,19 @@ policies all need (a) their candidate pools scored and (b) their freshly
 stored transitions trained on.  Both are embarrassingly batchable *across*
 replicas: this module fuses
 
-* the N per-replica candidate scorings into one stacked ``q_values`` forward
-  per agent role (:func:`decide_lockstep`), and
+* the N per-replica candidate scorings into one stacked forward per group
+  of same-architecture scorers (:func:`decide_lockstep`), and
 * the N per-replica gradient steps into one stacked forward/backward per
   agent role (:func:`observe_lockstep` → :func:`fused_train_steps`), with the
   target-side forwards of the revised Bellman targets fused the same way.
 
 Per-replica replay memories, RNG streams, explorer schedules and optimiser
 states remain completely independent — fusion only changes *how many python
-ops and gufunc launches* the work costs, not any number: every replica's
-slice of a stacked call is bit-identical to the serial call it replaces
-(see :mod:`repro.core.stacked`), which is what keeps a vectorized run
-float-for-float equal to N serial runs.
+ops and gufunc launches* the work costs, not any number: every call here is
+the one Q-network forward (:func:`repro.core.qnetwork.q_forward`) over the
+replicas' stacked parameters, and each replica's slice of it is
+bit-identical to the ``N = 1`` call the serial path makes, which is what
+keeps a vectorized run float-for-float equal to N serial runs.
 
 Work only fuses when shapes allow it — replicas whose network architectures
 or state-matrix shapes differ at a step fall back to the serial calls for
@@ -28,86 +29,78 @@ the steady state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..crowd.platform import ArrivalContext, Feedback
-from ..nn import Tensor, no_grad
+from ..nn import Tensor
 from .agent import DQNAgent
 from .framework import TaskArrangementFramework
-from .learner import DoubleDQNLearner
-from .qnetwork import SetQNetwork, pad_state_batch
+from .learner import DoubleDQNLearner, TargetBranches
+from .qnetwork import QScorer, pad_state_batch, q_forward, stack_parameters
 from .replay import Transition, sample_fused
-from .stacked import StackedForward, stack_signature
 from .state import StateMatrix
 
 __all__ = [
     "decide_lockstep",
     "observe_lockstep",
     "fused_train_steps",
-    "fused_q_values",
 ]
+
+
+def _infer(scorers: Sequence[QScorer], batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Raw ``(N, B, rows)`` values of N same-signature scorers, one batch each."""
+    params = stack_parameters([scorer.parameter_arrays() for scorer in scorers])
+    return q_forward(params, batch, mask, scorers[0].num_heads)
 
 
 # --------------------------------------------------------------------- #
 # Decision path
 # --------------------------------------------------------------------- #
-def fused_q_values(jobs: Sequence[tuple[SetQNetwork, StateMatrix]]) -> list[np.ndarray]:
-    """``network.q_values(state)`` for many pairs, fusing same-shaped groups.
-
-    Pairs whose (architecture, state shape) match are scored through one
-    stacked forward; singletons take the serial call.  Each result is
-    bit-identical to the serial ``q_values`` either way.
-    """
-    results: list[np.ndarray | None] = [None] * len(jobs)
-    groups: dict[tuple, list[int]] = {}
-    for slot, (network, state) in enumerate(jobs):
-        groups.setdefault((stack_signature(network), state.matrix.shape), []).append(slot)
-    for slots in groups.values():
-        if len(slots) == 1:
-            network, state = jobs[slots[0]]
-            results[slots[0]] = network.q_values(state)
-        else:
-            stacked = StackedForward([jobs[slot][0] for slot in slots])
-            for slot, values in zip(
-                slots, stacked.q_values_single([jobs[slot][1] for slot in slots])
-            ):
-                results[slot] = values
-    return results  # type: ignore[return-value]
-
-
 def decide_lockstep(
     pairs: Sequence[tuple[TaskArrangementFramework, ArrivalContext]]
 ) -> list[list[int]]:
-    """Rank one arrival per framework replica, fusing the network forwards.
+    """Rank one arrival per framework, fusing the network forwards.
 
-    Equivalent to ``[framework.rank_tasks(context) for ...]`` — exploration
-    noise, pending-decision bookkeeping and annealing run per replica on the
-    replica's own RNG, in replica order; only the (RNG-free) Q-value forwards
-    are batched across replicas.
+    Equivalent to ``[framework.rank_tasks(context) for ...]`` — each
+    framework's ``before_decision`` hook runs first (a snapshot refresh or
+    handoff barrier for async-trained frameworks), every agent scores on its
+    trainer's :meth:`~repro.core.trainer.TrainerLoop.scorer`, and
+    exploration noise, pending-decision bookkeeping and annealing run per
+    framework on its own RNG, in order; only the (RNG-free) forwards are
+    batched.  Scorings whose architecture and state shape match share one
+    stacked forward; a lone scoring is its ``N = 1`` case, the call
+    ``q_values`` makes.
     """
+    for framework, _ in pairs:
+        framework.trainer.before_decision()
     states = [framework._build_states(context) for framework, context in pairs]
-    scoring_jobs: list[tuple[SetQNetwork, StateMatrix]] = []
-    owners: list[tuple[int, str]] = []
-    for slot, ((framework, _), (state_w, state_r)) in enumerate(zip(pairs, states)):
-        if framework.agent_w is not None:
-            scoring_jobs.append((framework.agent_w.network, state_w))
-            owners.append((slot, "w"))
-        if framework.agent_r is not None:
-            scoring_jobs.append((framework.agent_r.network, state_r))
-            owners.append((slot, "r"))
-    scored = fused_q_values(scoring_jobs)
-    worker_q: list[np.ndarray | None] = [None] * len(pairs)
-    requester_q: list[np.ndarray | None] = [None] * len(pairs)
-    for (slot, role), values in zip(owners, scored):
-        if role == "w":
-            worker_q[slot] = values
-        else:
-            requester_q[slot] = values
+    jobs: list[tuple[QScorer, StateMatrix]] = []
+    owners: list[tuple[int, int]] = []
+    for slot, ((framework, _), role_states) in enumerate(zip(pairs, states)):
+        agents = (framework.agent_w, framework.agent_r)
+        for role, (agent, state) in enumerate(zip(agents, role_states)):
+            if agent is not None:
+                jobs.append((framework.trainer.scorer(agent), state))
+                owners.append((slot, role))
+    groups: dict[tuple, list[int]] = {}
+    for index, (scorer, state) in enumerate(jobs):
+        groups.setdefault((scorer.signature, state.matrix.shape), []).append(index)
+    scores: list[list[np.ndarray | None]] = [[None, None] for _ in pairs]
+    for indices in groups.values():
+        group = [jobs[index] for index in indices]
+        raw = _infer(
+            [scorer for scorer, _ in group],
+            np.array([[state.matrix] for _, state in group], dtype=group[0][0].dtype),
+            np.array([[state.mask] for _, state in group]),
+        )
+        for index, (_, state), values in zip(indices, group, raw):
+            slot, role = owners[index]
+            scores[slot][role] = values[0, : state.num_tasks].copy()
     return [
-        framework._decide(context, state_w, state_r, worker_q[slot], requester_q[slot])
+        framework._decide(context, state_w, state_r, *scores[slot])
         for slot, ((framework, context), (state_w, state_r)) in enumerate(zip(pairs, states))
     ]
 
@@ -138,9 +131,8 @@ def _uniform_state_shape(states: Sequence[StateMatrix]) -> tuple[int, int] | Non
     return shape
 
 
-@no_grad()
 def _padded_group_forward(
-    networks: Sequence[SetQNetwork], state_lists: Sequence[list[StateMatrix]]
+    networks: Sequence[QScorer], state_lists: Sequence[list[StateMatrix]]
 ) -> list[np.ndarray]:
     """Stacked inference forward over per-replica state lists of equal row shape.
 
@@ -152,7 +144,8 @@ def _padded_group_forward(
     """
     dtype = networks[0].dtype
     longest = max(len(states) for states in state_lists)
-    batches: list[tuple[np.ndarray, np.ndarray]] = []
+    batches: list[np.ndarray] = []
+    masks: list[np.ndarray] = []
     for states in state_lists:
         batch, mask = pad_state_batch(states, dtype=dtype)
         if batch.shape[0] < longest:
@@ -163,117 +156,56 @@ def _padded_group_forward(
             mask = np.concatenate(
                 [mask, np.ones((extra, mask.shape[1]), dtype=bool)], axis=0
             )
-        batches.append((batch, mask))
-    values = StackedForward(networks).infer_batch(batches)
+        batches.append(batch)
+        masks.append(mask)
+    values = _infer(networks, np.array(batches), np.array(masks))
     return [values[i, : len(states)] for i, states in enumerate(state_lists)]
-
-
-@dataclass
-class _TargetEntry:
-    """Per-job branch bookkeeping of the revised Bellman targets (mirrors
-    :meth:`DoubleDQNLearner.td_targets_batch` exactly)."""
-
-    job: _TrainJob
-    rewards: np.ndarray
-    branch_states: list[StateMatrix] = field(default_factory=list)
-    branch_owner: list[int] = field(default_factory=list)
-    branch_prob: list[float] = field(default_factory=list)
-    branch_source: list[tuple[Transition, int]] = field(default_factory=list)
-    uncached: list[int] = field(default_factory=list)
-
-
-def _finish_target_entry(entry: _TargetEntry, online_values: np.ndarray) -> None:
-    """Combine cached target values and fresh online argmaxes into targets."""
-    learner = entry.job.learner
-    branch_states = entry.branch_states
-    counts = np.array([state.num_tasks for state in branch_states])
-    columns = np.arange(online_values.shape[1])
-    padded = columns[np.newaxis, :] >= counts[:, np.newaxis]
-    best_actions = np.argmax(np.where(padded, -np.inf, online_values), axis=1)
-    branch_values = np.empty(len(branch_states), dtype=np.float64)
-    for j, (transition, slot) in enumerate(entry.branch_source):
-        branch_values[j] = transition.target_cache[slot][best_actions[j]]
-    expected_future = np.zeros(len(entry.rewards), dtype=np.float64)
-    np.add.at(
-        expected_future,
-        np.asarray(entry.branch_owner),
-        np.asarray(entry.branch_prob) * branch_values,
-    )
-    entry.job.targets = entry.rewards + learner.gamma * expected_future
 
 
 def _compute_targets(jobs: Sequence[_TrainJob]) -> None:
     """Fill every job's ``targets``, fusing branch forwards across replicas.
 
-    Mirrors :meth:`DoubleDQNLearner.td_targets_batch` per job — including the
-    per-transition target-network memoisation — but routes the uncached
-    target forwards and the online best-action forwards of same-shaped jobs
-    through one stacked call each.  Jobs whose branch states are ragged (no
-    common row shape) fall back to the serial method.
+    Runs the branch bookkeeping of :meth:`DoubleDQNLearner.td_targets_batch`
+    per job — including the per-transition target-network memoisation — but
+    routes the uncached target forwards and the online best-action forwards
+    of same-shaped jobs through one stacked call each.  Jobs whose branch
+    states are ragged (no common row shape) fall back to the serial method.
     """
-    entries: list[_TargetEntry] = []
+    fusable: dict[tuple, list[tuple[_TrainJob, TargetBranches]]] = {}
     for job in jobs:
-        rewards = np.array([t.reward for t in job.transitions], dtype=np.float64)
-        entry = _TargetEntry(job=job, rewards=rewards)
-        for i, transition in enumerate(job.transitions):
-            for slot, (probability, future_state) in enumerate(transition.future_states):
-                if future_state.num_tasks == 0:
-                    continue
-                entry.branch_states.append(future_state)
-                entry.branch_owner.append(i)
-                entry.branch_prob.append(probability)
-                entry.branch_source.append((transition, slot))
-        if not entry.branch_states:
-            job.targets = rewards
+        branches = TargetBranches.collect(job.learner, job.transitions)
+        if not branches.states:
+            job.targets = branches.rewards
             continue
-        entries.append(entry)
-
-    fusable: dict[tuple, list[_TargetEntry]] = {}
-    for entry in entries:
-        shape = _uniform_state_shape(entry.branch_states)
+        shape = _uniform_state_shape(branches.states)
         if shape is None:
-            entry.job.targets = entry.job.learner.td_targets_batch(entry.job.transitions)
+            job.targets = job.learner.td_targets_batch(job.transitions)
             continue
-        key = (stack_signature(entry.job.learner.online), shape)
-        fusable.setdefault(key, []).append(entry)
+        fusable.setdefault((job.learner.online.signature, shape), []).append((job, branches))
 
     for group in fusable.values():
         if len(group) == 1:
-            entry = group[0]
-            entry.job.targets = entry.job.learner.td_targets_batch(entry.job.transitions)
+            job, _ = group[0]
+            job.targets = job.learner.td_targets_batch(job.transitions)
             continue
-        # Per-entry cache probe, exactly as the serial method does it.
-        for entry in group:
-            version = entry.job.learner._target_version
-            entry.uncached = [
-                j
-                for j, (transition, _) in enumerate(entry.branch_source)
-                if transition.target_cache_version != version
-            ]
-        cold = [entry for entry in group if entry.uncached]
+        # Per-job cache probe, exactly as the serial method does it.
+        cold = [(branches, branches.uncached()) for _, branches in group]
+        cold = [(branches, uncached) for branches, uncached in cold if uncached]
         # One stacked inference forward serves both halves of the double-DQN
-        # target: the *target* networks on each entry's uncached branches and
+        # target: the *target* networks on each job's uncached branches and
         # the *online* networks on every branch (for the best-action argmax).
         # Same-architecture networks stack regardless of which agent they
         # belong to, so both halves ride one gufunc launch.
         blocks = _padded_group_forward(
-            [entry.job.learner.target for entry in cold]
-            + [entry.job.learner.online for entry in group],
-            [[entry.branch_states[j] for j in entry.uncached] for entry in cold]
-            + [entry.branch_states for entry in group],
+            [branches.learner.target for branches, _ in cold]
+            + [branches.learner.online for _, branches in group],
+            [[branches.states[j] for j in uncached] for branches, uncached in cold]
+            + [branches.states for _, branches in group],
         )
-        for entry, fresh in zip(cold, blocks[: len(cold)]):
-            version = entry.job.learner._target_version
-            for row, j in enumerate(entry.uncached):
-                transition, slot = entry.branch_source[j]
-                if transition.target_cache_version != version:
-                    transition.target_cache = [None] * len(transition.future_states)
-                    transition.target_cache_version = version
-                transition.target_cache[slot] = fresh[
-                    row, : entry.branch_states[j].num_tasks
-                ].copy()
-        for entry, online_values in zip(group, blocks[len(cold) :]):
-            _finish_target_entry(entry, online_values)
+        for (branches, uncached), fresh in zip(cold, blocks):
+            branches.memoise(uncached, fresh)
+        for (job, branches), online_values in zip(group, blocks[len(cold) :]):
+            job.targets = branches.targets(online_values)
 
 
 def _fused_prediction_update(jobs: Sequence[_TrainJob]) -> None:
@@ -282,14 +214,18 @@ def _fused_prediction_update(jobs: Sequence[_TrainJob]) -> None:
     Builds the exact per-replica loss graph of
     :meth:`DoubleDQNLearner.train_step` on slices of one stacked forward,
     backpropagates their sum once (each replica's loss receives gradient 1.0,
-    exactly as its own scalar backward would), scatters the gradient slices
-    into each learner's flat optimiser buffer, and finishes every update
-    with the shared clip/step/priority/sync path.
+    exactly as its own scalar backward would, and lands in its own
+    parameters), and finishes every update with the shared
+    clip/step/priority/sync path.
     """
     networks = [job.learner.online for job in jobs]
     dtype = networks[0].dtype
-    stacked = StackedForward(networks, requires_grad=True)
-    values = stacked.forward_batch([(job.batch, job.mask) for job in jobs])
+    values = q_forward(
+        stack_parameters([network.parameter_map for network in networks]),
+        np.array([job.batch for job in jobs]),
+        np.array([job.mask for job in jobs]),
+        networks[0].num_heads,
+    )
 
     # One gather and one loss graph for the whole group.  Per replica this is
     # bit-identical to the serial ``(w * diff * diff).mean()`` chain: the
@@ -311,10 +247,11 @@ def _fused_prediction_update(jobs: Sequence[_TrainJob]) -> None:
     losses = (Tensor(weights) * diff * diff).mean(axis=1)
     predictions = gathered.numpy()
 
+    # ``Tensor.stack``'s backward deposits each replica's gradient slice into
+    # its own parameters (the learners' flat gradient buffers).
     for job in jobs:
         job.learner.optimizer.zero_grad()
     losses.sum().backward()
-    stacked.scatter_gradients()
 
     loss_values = losses.numpy()
     for i, job in enumerate(jobs):
@@ -367,7 +304,7 @@ def fused_train_steps(agents: Sequence[DQNAgent]) -> None:
             continue
         job.batch, job.mask = pad_state_batch(states, dtype=job.learner.online.dtype)
         groups.setdefault(
-            (stack_signature(job.learner.online), job.batch.shape), []
+            (job.learner.online.signature, job.batch.shape), []
         ).append(job)
 
     for group in groups.values():

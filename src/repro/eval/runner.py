@@ -38,7 +38,6 @@ import numpy as np
 
 from ..core.framework import TaskArrangementFramework, migrate_config_tree
 from ..core.interfaces import ArrangementPolicy
-from ..core.sharding import shard_slices
 from ..core.vectorized import decide_lockstep, observe_lockstep
 from ..crowd.behavior import CascadeBehavior, InterestModel
 from ..crowd.entities import MINUTES_PER_DAY, MINUTES_PER_MONTH
@@ -515,11 +514,6 @@ class ReplicaRun:
         )
 
 
-#: Backwards-compatible alias from before the serving layer made the replica
-#: loop a public extension point.
-_ReplicaRun = ReplicaRun
-
-
 class SimulationRunner:
     """Evaluates one policy on one dataset."""
 
@@ -567,7 +561,6 @@ class SimulationRunner:
         policy: ArrangementPolicy,
         batch_size: int = 64,
         max_arrivals: int | None = None,
-        decision_shards: int = 1,
     ) -> int:
         """Decision-only replay: rank every online arrival, in padded batches.
 
@@ -579,16 +572,9 @@ class SimulationRunner:
         the pure decision path: the end-to-end throughput harness uses it to
         report decisions/sec, and it doubles as frozen-policy scoring of a
         trace.  Returns the number of arrivals ranked.
-
-        ``decision_shards`` forwards to ``rank_tasks_batch(shards=...)``:
-        each batch is partitioned into that many contiguous chunks, scored
-        independently and merged, bit-identical to the unsharded path (see
-        :mod:`repro.core.sharding`).
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if decision_shards < 1:
-            raise ValueError(f"decision_shards must be >= 1, got {decision_shards}")
         platform, behavior = _build_platform(self.dataset, self.config)
         warm_trace, online_trace = self.dataset.trace.split_warmup(self.dataset.warmup_end)
         # Replay the warm-up month exactly like run() does (self-selected
@@ -605,15 +591,35 @@ class SimulationRunner:
                 continue
             pending.append(context)
             if len(pending) >= batch_size:
-                policy.rank_tasks_batch(pending, shards=decision_shards)
+                policy.rank_tasks_batch(pending)
                 ranked += len(pending)
                 pending.clear()
             if max_arrivals is not None and ranked + len(pending) >= max_arrivals:
                 break
         if pending:
-            policy.rank_tasks_batch(pending, shards=decision_shards)
+            policy.rank_tasks_batch(pending)
             ranked += len(pending)
         return ranked
+
+
+def _contiguous_slices(count: int, parts: int) -> list[slice]:
+    """Partition ``range(count)`` into at most ``parts`` contiguous slices.
+
+    The split is deterministic and near-even (the first ``count % parts``
+    slices get one extra element); empty slices are dropped, so fewer than
+    ``parts`` slices come back when ``count < parts``.
+    """
+    used = min(parts, count)
+    if used <= 0:
+        return []
+    base, extra = divmod(count, used)
+    slices: list[slice] = []
+    start = 0
+    for i in range(used):
+        size = base + (1 if i < extra else 0)
+        slices.append(slice(start, start + size))
+        start += size
+    return slices
 
 
 class VectorizedRunner:
@@ -702,7 +708,7 @@ class VectorizedRunner:
             The ``pool.map`` gather is the sync-point barrier: no chunk's
             result is consumed until every chunk of the round has finished.
             """
-            chunks = [items[piece] for piece in shard_slices(len(items), threads)]
+            chunks = [items[piece] for piece in _contiguous_slices(len(items), threads)]
             if pool is None or len(chunks) <= 1:
                 return [result for chunk in chunks for result in worker(chunk)]
             return [result for part in pool.map(worker, chunks) for result in part]
@@ -710,14 +716,10 @@ class VectorizedRunner:
         def answer_round(batch):
             responses: dict[int, object] = {}
             ranks, observes = partition_requests(batch)
-            # Async-trained frameworks are excluded from lockstep fusion: their
-            # decisions and training must route through the trainer loop (the
-            # serial fallback below), not the inline fused store/train path.
             fused_ranks = [
                 (index, request)
                 for index, request in ranks
                 if isinstance(policies[index], TaskArrangementFramework)
-                and not policies[index].config.async_training
             ]
             if fused_ranks:
                 rankings = chunked(
@@ -729,6 +731,8 @@ class VectorizedRunner:
             for index, request in ranks:
                 if index not in responses:
                     responses[index] = policies[index].rank_tasks(request[1])
+            # Async-trained frameworks train through their trainer loop (the
+            # serial fallback below), not the inline fused store/train path.
             fused_observes = [
                 (index, request)
                 for index, request in observes

@@ -1,19 +1,26 @@
 """Functional building blocks for :mod:`repro.nn`.
 
-These helpers operate on :class:`repro.nn.tensor.Tensor` objects and return
-tensors wired into the autograd graph.  Losses and attention primitives used
-by the Q-network live here.
+Losses and attention primitives used by the Q-network live here.  The
+losses take and return :class:`repro.nn.tensor.Tensor` objects wired into
+the autograd graph.  The attention path (:func:`relu`, :func:`masked_softmax`,
+:func:`unbind`, :func:`scaled_dot_product_attention` and
+:func:`multi_head_attention`) accepts either tensors or plain numpy arrays:
+tensors build the training graph, arrays run inference with no graph nodes,
+and both perform the same numpy calls in the same order, so their values
+are bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, softmax_array
 
 __all__ = [
     "relu",
     "softmax",
+    "masked_softmax",
+    "unbind",
     "sigmoid",
     "tanh",
     "linear",
@@ -21,17 +28,38 @@ __all__ = [
     "huber_loss",
     "weighted_mse_loss",
     "scaled_dot_product_attention",
+    "multi_head_attention",
 ]
 
 
-def relu(x: Tensor) -> Tensor:
-    """Element-wise rectified linear unit."""
-    return as_tensor(x).relu()
+def relu(x):
+    """Element-wise rectified linear unit (tensor or array in, same type out)."""
+    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     return as_tensor(x).softmax(axis=axis)
+
+
+def masked_softmax(scores, mask: np.ndarray | None = None):
+    """Softmax over the last axis, with masked (True) entries filled with -1e9 first.
+
+    ``mask`` must already have the shape of ``scores``.  Tensor in, tensor
+    out; array in, array out.
+    """
+    if isinstance(scores, Tensor):
+        if mask is not None:
+            scores = scores.masked_fill(mask, -1e9)
+        return scores.softmax(axis=-1)
+    if mask is not None:
+        scores = np.where(mask, -1e9, scores)
+    return softmax_array(scores, axis=-1)
+
+
+def unbind(x) -> list:
+    """Views of every index of the leading axis (see :meth:`Tensor.unbind`)."""
+    return x.unbind(0) if isinstance(x, Tensor) else list(x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -103,19 +131,15 @@ def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor
     return combined.mean()
 
 
-def scaled_dot_product_attention(
-    queries: Tensor,
-    keys: Tensor,
-    values: Tensor,
-    mask: np.ndarray | None = None,
-) -> Tensor:
+def scaled_dot_product_attention(queries, keys, values, mask: np.ndarray | None = None):
     """Attention ``softmax(Q K^T / sqrt(d)) V`` as in Fig. 4 of the paper.
 
     Parameters
     ----------
     queries, keys, values:
-        Tensors of shape ``(..., n, d)``.  A single set is ``(n, d)``; the
-        batched engine stacks sets (and heads) into leading dimensions, e.g.
+        Tensors (or plain arrays, for graph-free inference) of shape
+        ``(..., n, d)``.  A single set is ``(n, d)``; the batched engine
+        stacks sets (and heads) into leading dimensions, e.g.
         ``(heads, n, d)`` or ``(batch, heads, n, d)``, and the attention is
         computed independently per leading slice in one batched matmul.
     mask:
@@ -127,16 +151,45 @@ def scaled_dot_product_attention(
         zero-padding does not influence real tasks; padded query rows still
         produce (ignored) outputs.
     """
-    queries = as_tensor(queries)
-    keys = as_tensor(keys)
-    values = as_tensor(values)
     d_k = queries.shape[-1]
-    scores = (queries @ keys.swapaxes(-1, -2)) * (1.0 / float(np.sqrt(d_k)))
+    # The scale joins in the operands' dtype, so float32 stays float32.
+    scale = np.asarray(1.0 / float(np.sqrt(d_k)), dtype=queries.dtype)
+    scores = (queries @ keys.swapaxes(-1, -2)) * scale
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
         # Broadcast across query rows (and any leading batch/head axes):
         # a trailing-True entry means that key column is padding everywhere.
-        key_mask = np.broadcast_to(mask, scores.shape)
-        scores = scores.masked_fill(key_mask, -1e9)
-    weights = scores.softmax(axis=-1)
-    return weights @ values
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+    return masked_softmax(scores, mask) @ values
+
+
+def multi_head_attention(qkv, rows_shape: tuple, num_heads: int, mask: np.ndarray | None = None):
+    """Masked multi-head self-attention over a fused Q/K/V projection.
+
+    ``qkv`` is the ``(·, 3E)`` output of the fused input projection of a set
+    whose rows have the leading shape ``rows_shape = (*lead, rows)``; its
+    leading axes may already be flattened into one GEMM row axis.  Each
+    activation row is laid out ``[q (heads·hd) | k (heads·hd) | v (heads·hd)]``,
+    so one reshape to ``(*lead, rows, 3, heads, head_dim)`` is free, one
+    transpose brings the q/k/v axis to the front, and :func:`unbind` peels the
+    three head-split activations off as views.  All heads attend in one
+    batched matmul (``mask``, True = padding row, has shape ``rows_shape``)
+    and are merged back to ``(*lead, rows, E)``, ready for the output
+    projection.
+    """
+    lead = tuple(rows_shape[:-1])
+    rows = rows_shape[-1]
+    n_lead = len(lead)
+    embed_dim = qkv.shape[-1] // 3
+    head_dim = embed_dim // num_heads
+    packed = qkv.reshape(lead + (rows, 3, num_heads, head_dim)).transpose(
+        (n_lead + 1,) + tuple(range(n_lead)) + (n_lead + 2, n_lead, n_lead + 3)
+    )
+    queries, keys, values = unbind(packed)
+    key_mask = None
+    if mask is not None:
+        # Key mask broadcast over heads and query rows: (..., 1, 1, rows).
+        key_mask = np.asarray(mask, dtype=bool)[..., np.newaxis, np.newaxis, :]
+    attended = scaled_dot_product_attention(queries, keys, values, mask=key_mask)
+    # (..., heads, rows, head_dim) -> (..., rows, heads, head_dim) -> (..., rows, E)
+    merge_axes = tuple(range(n_lead)) + (n_lead + 1, n_lead, n_lead + 2)
+    return attended.transpose(merge_axes).reshape(lead + (rows, embed_dim))

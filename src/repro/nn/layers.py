@@ -19,7 +19,7 @@ import numpy as np
 
 from . import init as initializers
 from .dtype import get_default_dtype, resolve_dtype
-from .functional import scaled_dot_product_attention
+from .functional import multi_head_attention
 from .tensor import Tensor
 
 __all__ = [
@@ -188,9 +188,10 @@ class Linear(Module):
         # tail over the last ``M % width`` rows, so collapsing would make the
         # tail rows' bits depend on the *total* batch size.  Keeping the N-D
         # per-batch-item product makes every row batch-slice stable, which
-        # the exact decision sharding relies on (see
-        # :mod:`repro.core.sharding`); the loop of tiny ``(rows, K) @ (K, 1)``
-        # products is cheap next to the hidden-layer GEMMs.
+        # the lockstep target forward relies on when it pads a replica's
+        # branch batch with dummy states (see :mod:`repro.core.vectorized`);
+        # the loop of tiny ``(rows, K) @ (K, 1)`` products is cheap next to
+        # the hidden-layer GEMMs.
         lead = x.shape[:-1]
         collapse = x.ndim > 2 and self.out_features > 1
         if collapse:
@@ -298,31 +299,7 @@ class MultiHeadSelfAttention(Module):
         """
         flat = x.reshape((-1, self.embed_dim)) if x.ndim > 2 else x
         qkv = flat @ self.in_proj_weight + self.in_proj_bias
-
-        lead = x.shape[:-2]
-        rows = x.shape[-2]
-        n_lead = len(lead)
-        # The fused activation row is [q (heads·hd) | k (heads·hd) | v (heads·hd)],
-        # so reshaping the contiguous (N, 3E) GEMM output to
-        # (..., rows, 3, heads, head_dim) is free, one transpose brings the
-        # q/k/v axis to the front, and unbind peels the three head-split
-        # activations off as views — no per-projection copies at all.
-        packed = qkv.reshape(lead + (rows, 3, self.num_heads, self.head_dim)).transpose(
-            (n_lead + 1,) + tuple(range(n_lead)) + (n_lead + 2, n_lead, n_lead + 3)
-        )
-        queries, keys, values = packed.unbind(0)
-        # (..., rows, heads, head_dim) <-> (..., heads, rows, head_dim) (self-inverse).
-        split_axes = tuple(range(n_lead)) + (n_lead + 1, n_lead, n_lead + 2)
-
-        key_mask = None
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            # Key mask broadcast over heads and query rows: (..., 1, 1, rows).
-            key_mask = mask[..., np.newaxis, np.newaxis, :]
-
-        attended = scaled_dot_product_attention(queries, keys, values, mask=key_mask)
-        # (..., heads, rows, head_dim) -> (..., rows, heads, head_dim) -> (..., rows, embed)
-        merged = attended.transpose(split_axes).reshape(lead + (rows, self.embed_dim))
+        merged = multi_head_attention(qkv, x.shape[:-1], self.num_heads, mask=mask)
         return self.output_proj(merged)
 
 

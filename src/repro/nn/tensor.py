@@ -33,9 +33,10 @@ class _GradMode(threading.local):
     """Per-thread autograd switch (mirrors torch.no_grad semantics).
 
     Thread-local rather than a module global: the lockstep replica threads
-    and the decision-sharding thread pool enter/exit ``no_grad`` concurrently,
-    and a shared flag would let one thread's inference scope strand training
-    on another thread with gradient tracking silently disabled.
+    and the async trainer thread enter/exit ``no_grad`` concurrently with
+    the decision thread, and a shared flag would let one thread's inference
+    scope strand training on another thread with gradient tracking silently
+    disabled.
     """
 
     def __init__(self) -> None:
@@ -83,6 +84,13 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether gradient tracking is currently enabled (this thread)."""
     return _GRAD_MODE.enabled
+
+
+def softmax_array(data: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of a plain array (what :meth:`Tensor.softmax` computes)."""
+    shifted = data - data.max(axis=axis, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=axis, keepdims=True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -276,7 +284,11 @@ class Tensor:
                 node._backward(node.grad)
 
     def _topological_order(self) -> list["Tensor"]:
-        """Return the nodes reachable from ``self`` in topological order."""
+        """Return the interior nodes reachable from ``self`` in topological order.
+
+        Leaves (parameters, inputs) are skipped: they have no backward to
+        run, and their children's backwards already deliver their gradients.
+        """
         ordered: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -290,7 +302,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent._parents and id(parent) not in visited:
                     stack.append((parent, False))
         return ordered
 
@@ -578,9 +590,7 @@ class Tensor:
         return self._make_child(data, (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exps = np.exp(shifted)
-        data = exps / exps.sum(axis=axis, keepdims=True)
+        data = softmax_array(self.data, axis)
 
         def backward(grad: np.ndarray) -> None:
             # d softmax_i / d x_j = softmax_i (delta_ij - softmax_j)
@@ -611,11 +621,12 @@ class Tensor:
     def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [as_tensor(t) for t in tensors]
         data = np.stack([t.data for t in tensors], axis=axis)
+        lead = (slice(None),) * (axis % data.ndim)
 
         def backward(grad: np.ndarray) -> None:
-            pieces = np.split(grad, len(tensors), axis=axis)
-            for tensor, piece in zip(tensors, pieces):
-                tensor._accumulate(np.squeeze(piece, axis=axis))
+            # Each input receives its own slice (a view) of the gradient.
+            for position, tensor in enumerate(tensors):
+                tensor._accumulate(grad[lead + (position,)])
 
         anchor = tensors[0]
         return anchor._make_child(data, tuple(tensors), backward)

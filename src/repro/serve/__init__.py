@@ -17,7 +17,7 @@ endpoint as K worker processes behind a routing front-end
 (:mod:`repro.serve.shard`), bit-identical to a single-process deployment.
 """
 
-from .batching import RankBatcher, decide_batch, decide_snapshots
+from .batching import RankBatcher, decide_batch
 from .faults import FAULT_SITES, FaultEvent, FaultPlan, FaultSpec, InjectedFault
 from .loadgen import LoadgenError, Resilience, run_loadgen
 from .protocol import (
@@ -76,7 +76,6 @@ __all__ = [
     "TenantSpec",
     "checkpoint_phases",
     "decide_batch",
-    "decide_snapshots",
     "decode_line",
     "encode_line",
     "error_response",

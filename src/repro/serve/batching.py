@@ -9,20 +9,15 @@ many gufunc launches the work costs, never any number.
 :class:`RankBatcher` collects the tick's requests (``submit`` returns a
 future; the flush runs via ``loop.call_soon``, i.e. after every pump that is
 ready this tick has registered) and answers them through
-:func:`decide_batch`, which routes each tenant by policy type:
-
-* synchronously trained frameworks go through the offline
-  :func:`repro.core.vectorized.decide_lockstep` path — per-tenant results
-  are bit-identical to the serial ``rank_tasks`` call regardless of batch
-  composition (pinned by the vectorized-equivalence tests), so batching can
-  never perturb a tenant's trajectory or its warm-restart equivalence;
-* asynchronously trained frameworks decide on their
-  :class:`~repro.core.trainer.SnapshotNetwork`\\ s; same-architecture,
-  same-shape snapshot scorings are fused by re-pointing one
-  :class:`~repro.core.stacked.StackedForward` raw-numpy mirror at a stack of
-  the snapshots' parameter views (each slice bit-identical to that
-  snapshot's own forward);
-* everything else (baselines) answers serially via ``rank_tasks``.
+:func:`decide_batch`: every framework tenant, synchronously or
+asynchronously trained, goes through the offline
+:func:`repro.core.vectorized.decide_lockstep` path, which scores each agent
+on its trainer's scorer (the live network, or the async snapshot).
+Per-tenant results are bit-identical to the serial ``rank_tasks`` call
+regardless of batch composition (pinned by the vectorized-equivalence
+tests), so batching can never perturb a tenant's trajectory or its
+warm-restart equivalence.  Everything else (baselines) answers serially via
+``rank_tasks``.
 """
 
 from __future__ import annotations
@@ -30,94 +25,11 @@ from __future__ import annotations
 import asyncio
 from typing import Sequence
 
-import numpy as np
-
 from ..core.framework import TaskArrangementFramework
-from ..core.stacked import StackedForward, stack_signature
-from ..core.trainer import SnapshotNetwork
 from ..core.vectorized import decide_lockstep
 from ..crowd.platform import ArrivalContext
-from ..core.state import StateMatrix
 
-__all__ = ["RankBatcher", "decide_batch", "decide_snapshots"]
-
-
-def _fused_snapshot_q_values(
-    jobs: Sequence[tuple[SnapshotNetwork, StateMatrix]]
-) -> list[np.ndarray]:
-    """``snapshot.q_values(state)`` for many pairs, fusing same-shaped groups.
-
-    Mirrors :func:`repro.core.vectorized.fused_q_values` with snapshots in
-    place of live networks: groups share one stacked raw-numpy forward whose
-    weight stacks are built from the snapshots' parameter views (the stack's
-    slice ``i`` holds exactly snapshot ``i``'s parameters, so each result is
-    bit-identical to the serial snapshot forward); singletons take the
-    serial snapshot call.
-    """
-    results: list[np.ndarray | None] = [None] * len(jobs)
-    groups: dict[tuple, list[int]] = {}
-    for slot, (snapshot, state) in enumerate(jobs):
-        key = (stack_signature(snapshot._agent.network), state.matrix.shape)
-        groups.setdefault(key, []).append(slot)
-    for slots in groups.values():
-        if len(slots) == 1:
-            snapshot, state = jobs[slots[0]]
-            results[slots[0]] = snapshot.q_values(state)
-        else:
-            snapshots = [jobs[slot][0] for slot in slots]
-            stacked = StackedForward([snapshot._agent.network for snapshot in snapshots])
-            # Re-point the mirror's weight stacks at the *snapshot* buffers
-            # (the constructor stacked the live parameters, which async
-            # decisions must not read).
-            stacked._arrays = {
-                name: np.stack(
-                    [snapshot._mirror._arrays[name][0] for snapshot in snapshots]
-                )
-                for name in stacked._arrays
-            }
-            for slot, values in zip(
-                slots, stacked.q_values_single([jobs[slot][1] for slot in slots])
-            ):
-                results[slot] = values
-    return results  # type: ignore[return-value]
-
-
-def decide_snapshots(
-    pairs: Sequence[tuple[TaskArrangementFramework, ArrivalContext]]
-) -> list[list[int]]:
-    """Rank one arrival per async-trained framework, fusing snapshot forwards.
-
-    Equivalent to ``[framework.rank_tasks(context) for …]`` in async mode:
-    each framework's ``before_decision`` hook runs first (snapshot refresh in
-    free-running mode, the consumption barrier under a fixed handoff lag),
-    then the snapshot scorings are fused across frameworks and exploration /
-    pending bookkeeping runs per framework on its own RNG.
-    """
-    for framework, _ in pairs:
-        framework.trainer.before_decision()
-    states = [framework._build_states(context) for framework, context in pairs]
-    jobs: list[tuple[SnapshotNetwork, StateMatrix]] = []
-    owners: list[tuple[int, str]] = []
-    for slot, ((framework, _), (state_w, state_r)) in enumerate(zip(pairs, states)):
-        snapshots = framework.trainer._snapshots
-        if framework.agent_w is not None:
-            jobs.append((snapshots[id(framework.agent_w)], state_w))
-            owners.append((slot, "w"))
-        if framework.agent_r is not None:
-            jobs.append((snapshots[id(framework.agent_r)], state_r))
-            owners.append((slot, "r"))
-    scored = _fused_snapshot_q_values(jobs)
-    worker_q: list[np.ndarray | None] = [None] * len(pairs)
-    requester_q: list[np.ndarray | None] = [None] * len(pairs)
-    for (slot, role), values in zip(owners, scored):
-        if role == "w":
-            worker_q[slot] = values
-        else:
-            requester_q[slot] = values
-    return [
-        framework._decide(context, state_w, state_r, worker_q[slot], requester_q[slot])
-        for slot, ((framework, context), (state_w, state_r)) in enumerate(zip(pairs, states))
-    ]
+__all__ = ["RankBatcher", "decide_batch"]
 
 
 def decide_batch(entries: Sequence[tuple[object, ArrivalContext]]) -> list[list[int]]:
@@ -125,33 +37,21 @@ def decide_batch(entries: Sequence[tuple[object, ArrivalContext]]) -> list[list[
 
     ``entries`` holds ``(tenant, context)`` pairs (any object with a
     ``policy`` attribute works).  Returns the rankings in entry order; every
-    ranking equals the serial ``policy.rank_tasks(context)`` (sync
-    frameworks: bit-identical; async frameworks: identical given the same
-    snapshot contents; baselines: the serial call itself).
+    ranking equals the serial ``policy.rank_tasks(context)`` (frameworks:
+    bit-identical; baselines: the serial call itself).
     """
     rankings: list[list[int] | None] = [None] * len(entries)
-    sync_slots: list[int] = []
-    async_slots: list[int] = []
+    fused_slots: list[int] = []
     for slot, (tenant, context) in enumerate(entries):
-        policy = tenant.policy
-        if isinstance(policy, TaskArrangementFramework):
-            if policy.config.async_training:
-                async_slots.append(slot)
-            else:
-                sync_slots.append(slot)
+        if isinstance(tenant.policy, TaskArrangementFramework):
+            fused_slots.append(slot)
         else:
-            rankings[slot] = policy.rank_tasks(context)
-    if sync_slots:
+            rankings[slot] = tenant.policy.rank_tasks(context)
+    if fused_slots:
         fused = decide_lockstep(
-            [(entries[slot][0].policy, entries[slot][1]) for slot in sync_slots]
+            [(entries[slot][0].policy, entries[slot][1]) for slot in fused_slots]
         )
-        for slot, ranking in zip(sync_slots, fused):
-            rankings[slot] = ranking
-    if async_slots:
-        fused = decide_snapshots(
-            [(entries[slot][0].policy, entries[slot][1]) for slot in async_slots]
-        )
-        for slot, ranking in zip(async_slots, fused):
+        for slot, ranking in zip(fused_slots, fused):
             rankings[slot] = ranking
     return rankings  # type: ignore[return-value]
 

@@ -19,6 +19,7 @@ from repro.core import (
     pad_state_batch,
 )
 from repro.crowd import FeatureSchema
+from tests.core.reference import td_target, train_step_unbatched
 
 TOL = 1e-9
 
@@ -125,7 +126,7 @@ class TestTrainStepEquivalence:
         learner, memory = build_learner_and_memory(schema, transformer)
         transitions, _, _ = memory.sample(16)
         batched = learner.td_targets_batch(transitions)
-        scalar = np.array([learner.td_target(t) for t in transitions])
+        scalar = np.array([td_target(learner, t) for t in transitions])
         np.testing.assert_allclose(batched, scalar, atol=TOL)
 
     def test_td_targets_cache_is_invalidated_on_sync(self, schema):
@@ -139,7 +140,7 @@ class TestTrainStepEquivalence:
             param.data = param.data + 0.05
         learner.sync_target()
         refreshed = learner.td_targets_batch(transitions)
-        scalar = np.array([learner.td_target(t) for t in transitions])
+        scalar = np.array([td_target(learner, t) for t in transitions])
         np.testing.assert_allclose(refreshed, scalar, atol=TOL)
         assert not np.allclose(first, refreshed)
 
@@ -155,8 +156,8 @@ class TestTrainStepEquivalence:
         transitions, _, _ = memory.sample(16)
         targets_a = learner_a.td_targets_batch(transitions)
         targets_b = learner_b.td_targets_batch(transitions)
-        scalar_a = np.array([learner_a.td_target(t) for t in transitions])
-        scalar_b = np.array([learner_b.td_target(t) for t in transitions])
+        scalar_a = np.array([td_target(learner_a, t) for t in transitions])
+        scalar_b = np.array([td_target(learner_b, t) for t in transitions])
         np.testing.assert_allclose(targets_a, scalar_a, atol=TOL)
         np.testing.assert_allclose(targets_b, scalar_b, atol=TOL)
 
@@ -167,7 +168,7 @@ class TestTrainStepEquivalence:
         learner_b, memory_b = build_learner_and_memory(schema, transformer)
         for step in range(6):  # crosses a target sync (interval 4)
             report_a = learner_a.train_step(memory_a)
-            report_b = learner_b.train_step_unbatched(memory_b)
+            report_b = train_step_unbatched(learner_b, memory_b)
             assert report_a.batch_size == report_b.batch_size
             assert abs(report_a.loss - report_b.loss) <= TOL, step
             assert abs(report_a.mean_abs_td_error - report_b.mean_abs_td_error) <= TOL
@@ -190,7 +191,7 @@ class TestTrainStepEquivalence:
             if key == "batched":
                 learner.train_step(memory)
             else:
-                learner.train_step_unbatched(memory)
+                train_step_unbatched(learner, memory)
             grads[key] = {
                 name: param.grad.copy()
                 for name, param in learner.online.named_parameters()

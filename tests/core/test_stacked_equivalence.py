@@ -1,18 +1,26 @@
-"""Bitwise guarantees of the replica-stacked execution engine.
+"""Bitwise guarantees of the one Q-network forward over parameter stacks.
 
-The episode-vectorized platform's determinism contract (a vectorized replica
-is float-for-float equal to its serial run) rests on properties of this
-machine's BLAS/numpy that these tests pin explicitly:
+Every scoring and training path runs :func:`repro.core.qnetwork.q_forward`
+and differs only in the parameters it passes: ``N = 1`` views of one
+network's (or one snapshot's) parameters, or N networks stacked along a
+leading replica axis.  The episode-vectorized platform's determinism
+contract (a vectorized replica is float-for-float equal to its serial run)
+rests on properties of this machine's BLAS/numpy that these tests pin
+explicitly:
 
 * a stacked ``(N, m, k) @ (N, k, n)`` matmul equals the N separate 2-D
   matmuls bitwise;
 * GEMM results are row-stable when the left operand gains extra rows
   (M-invariance, for M >= 2) — what lets the no-grad target forwards pad the
   *batch* axis across replicas;
-* the stacked forward/backward mirrors (`repro.core.stacked.StackedForward`)
-  reproduce the serial network's values and gradients exactly, and
-* the fused group train step (`repro.core.vectorized.fused_train_steps`)
-  leaves every agent in the exact state of its serial ``train_step``.
+* scoring one state is the ``B = 1`` case of batched scoring, and equals the
+  network's own layer modules applied to the 2-D state;
+* each slice of an N-stacked call equals the ``N = 1`` call, for values and
+  for every parameter gradient, and the graph-free array path equals the
+  tensor graph;
+* the lockstep decision path and the fused group train step
+  (:mod:`repro.core.vectorized`) leave every framework and agent in the
+  exact state of its serial calls.
 
 If any of these fail on a new platform, the vectorized runner's equality
 tests would fail with it — these isolate the root cause.
@@ -21,13 +29,16 @@ tests would fail with it — these isolate the root cause.
 import numpy as np
 import pytest
 
+from repro.core import FrameworkConfig, TaskArrangementFramework
 from repro.core.agent import AgentConfig, DQNAgent
-from repro.core.qnetwork import SetQNetwork, pad_state_batch
+from repro.core.qnetwork import SetQNetwork, pad_state_batch, q_forward, stack_parameters
 from repro.core.replay import Transition
-from repro.core.stacked import StackedForward, stack_signature, stackable
 from repro.core.state import StateMatrix
-from repro.core.vectorized import fused_q_values, fused_train_steps
-from repro.nn import Tensor
+from repro.core.vectorized import decide_lockstep, fused_train_steps
+from repro.crowd.entities import MINUTES_PER_DAY
+from repro.nn import Tensor, no_grad
+
+from test_checkpoint import make_context, snapshot  # noqa: F401 (fixture)
 
 
 def make_state(rng, rows, dim, min_tasks=1):
@@ -86,6 +97,32 @@ class TestEnvironmentAssumptions:
         )
 
 
+def layer_forward(network: SetQNetwork, state: StateMatrix) -> np.ndarray:
+    """The six blocks applied through the network's own layer modules to one 2-D state."""
+    x = Tensor(np.asarray(state.matrix, dtype=network.dtype))
+    with no_grad():
+        hidden = network.embed_2(network.embed_1(x))
+        attended = network.attention_1(hidden, mask=state.mask)
+        hidden = network.post_attention(attended + hidden)
+        hidden = network.attention_2(hidden, mask=state.mask) + hidden
+        return network.value_head(hidden).numpy()[: state.num_tasks, 0]
+
+
+class TestSingleStateIsBatchOfOne:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("hidden", [8, 64, 128])
+    @pytest.mark.parametrize("rows", [1, 2, 15, 68])
+    def test_q_values_is_the_b1_batch_bitwise(self, dtype, hidden, rows):
+        network = SetQNetwork(input_dim=23, hidden_dim=hidden, num_heads=4, seed=rows, dtype=dtype)
+        rng = np.random.default_rng(hidden + rows)
+        for _ in range(3):
+            state = make_state(rng, rows, 23)
+            values = network.q_values(state)
+            assert values.dtype == np.dtype(dtype)
+            assert np.array_equal(values, network.q_values_batch([state])[0])
+            assert np.array_equal(values, layer_forward(network, state))
+
+
 @pytest.fixture(params=["float64", "float32"])
 def networks(request):
     return [
@@ -94,87 +131,109 @@ def networks(request):
     ]
 
 
-class TestStackedForward:
-    def test_stackable_requires_matching_architecture(self, networks):
-        assert stackable(networks)
-        other = SetQNetwork(input_dim=13, hidden_dim=32, num_heads=2)
-        assert not stackable([networks[0], other])
-        assert stack_signature(networks[0]) != stack_signature(other)
-        with pytest.raises(ValueError, match="architecture"):
-            StackedForward([networks[0], other])
+def stacked_batches(networks, state_lists):
+    batches = [pad_state_batch(states, dtype=networks[0].dtype) for states in state_lists]
+    return np.stack([batch for batch, _ in batches]), np.stack([mask for _, mask in batches])
 
-    def test_single_mode_matches_serial_q_values_bitwise(self, networks):
-        rng = np.random.default_rng(3)
-        states = [make_state(rng, rows=9, dim=13) for _ in networks]
-        stacked = StackedForward(networks)
-        fused = stacked.q_values_single(states)
-        for network, state, values in zip(networks, states, fused):
-            assert np.array_equal(values, network.q_values(state))
 
-    def test_infer_batch_matches_tensor_forward_bitwise(self, networks):
-        """The raw-numpy inference mirror equals the autograd-graph mirror."""
-        rng = np.random.default_rng(4)
-        batches = [
-            pad_state_batch([make_state(rng, 7, 13) for _ in range(5)], dtype=networks[0].dtype)
-            for _ in networks
-        ]
-        with_graph = StackedForward(networks, requires_grad=True)
-        inference = StackedForward(networks)
-        assert np.array_equal(
-            inference.infer_batch(batches), with_graph.forward_batch(batches).numpy()
-        )
+class TestQForwardStacks:
+    def test_signature_separates_architectures(self, networks):
+        assert len({network.signature for network in networks}) == 1
+        other = SetQNetwork(input_dim=13, hidden_dim=32, num_heads=2, dtype=networks[0].dtype)
+        assert other.signature != networks[0].signature
 
-    def test_batch_mode_matches_serial_forward_batch_bitwise(self, networks):
+    def test_n1_views_share_memory_with_the_parameters(self, networks):
+        network = networks[0]
+        for name, view in stack_parameters([network.parameter_arrays()]).items():
+            assert view.shape == (1,) + network.parameter_map[name].shape
+            assert np.shares_memory(view, network.parameter_map[name].data), name
+
+    def test_slices_equal_n1_values_bitwise(self, networks):
         rng = np.random.default_rng(5)
         state_lists = [[make_state(rng, 8, 13) for _ in range(6)] for _ in networks]
-        batches = [
-            pad_state_batch(states, dtype=networks[0].dtype) for states in state_lists
-        ]
-        fused = StackedForward(networks).infer_batch(batches)
+        batch, mask = stacked_batches(networks, state_lists)
+        params = stack_parameters([network.parameter_arrays() for network in networks])
+        fused = q_forward(params, batch, mask, networks[0].num_heads)
         for i, (network, states) in enumerate(zip(networks, state_lists)):
             assert np.array_equal(fused[i], network.forward_batch(states).numpy())
 
-    def test_gradients_match_serial_backward_bitwise(self, networks):
+    def test_array_path_equals_tensor_graph_bitwise(self, networks):
+        rng = np.random.default_rng(4)
+        state_lists = [[make_state(rng, 7, 13) for _ in range(5)] for _ in networks]
+        batch, mask = stacked_batches(networks, state_lists)
+        arrays = stack_parameters([network.parameter_arrays() for network in networks])
+        tensors = stack_parameters([network.parameter_map for network in networks])
+        inference = q_forward(arrays, batch, mask, networks[0].num_heads)
+        graph = q_forward(tensors, batch, mask, networks[0].num_heads)
+        assert isinstance(inference, np.ndarray) and isinstance(graph, Tensor)
+        assert np.array_equal(inference, graph.numpy())
+
+    def test_slices_equal_n1_gradients_bitwise(self, networks):
         rng = np.random.default_rng(6)
         state_lists = [[make_state(rng, 8, 13) for _ in range(5)] for _ in networks]
         serial_grads = []
         for network, states in zip(networks, state_lists):
-            for param in network.parameters():
-                param.zero_grad()
+            network.zero_grad()
             values = network.forward_batch(states)
             (values * values).mean().backward()
             serial_grads.append(
                 {name: param.grad.copy() for name, param in network.named_parameters()}
             )
-            for param in network.parameters():
-                param.zero_grad()
+            network.zero_grad()
 
-        stacked = StackedForward(networks, requires_grad=True)
-        out = stacked.forward_batch(
-            [pad_state_batch(states, dtype=networks[0].dtype) for states in state_lists]
-        )
+        batch, mask = stacked_batches(networks, state_lists)
+        params = stack_parameters([network.parameter_map for network in networks])
+        out = q_forward(params, batch, mask, networks[0].num_heads)
         losses = [(row * row).mean() for row in out.unbind(0)]
         Tensor.stack(losses, axis=0).sum().backward()
-        stacked.scatter_gradients()
         for network, expected in zip(networks, serial_grads):
             for name, param in network.named_parameters():
                 assert np.array_equal(param.grad, expected[name]), name
-            for param in network.parameters():
-                param.zero_grad()
+            network.zero_grad()
 
 
-class TestFusedQValues:
-    def test_mixed_shapes_fall_back_per_pair(self):
-        rng = np.random.default_rng(7)
-        nets = [SetQNetwork(13, hidden_dim=16, num_heads=2, seed=s) for s in range(3)]
-        jobs = [
-            (nets[0], make_state(rng, 9, 13)),
-            (nets[1], make_state(rng, 9, 13)),
-            (nets[2], make_state(rng, 5, 13)),  # different shape: serial path
+TINY = dict(hidden_dim=16, num_heads=2, batch_size=8, train_interval=1, seed=5)
+
+
+class TestDecideLockstep:
+    def test_mixed_scorers_rank_like_serial_calls(self, snapshot):
+        """Sync and async frameworks, two widths and two state shapes in one call."""
+        _, _, schema, _ = snapshot
+        configs = [
+            dict(TINY),
+            dict(TINY, seed=6),
+            dict(TINY, seed=7, max_tasks=12),
+            dict(TINY, seed=8, hidden_dim=32),
+            dict(TINY, seed=9, async_training=True, async_handoff_lag=0),
         ]
-        fused = fused_q_values(jobs)
-        for (network, state), values in zip(jobs, fused):
-            assert np.array_equal(values, network.q_values(state))
+
+        def build():
+            return [
+                TaskArrangementFramework(schema, FrameworkConfig(**config))
+                for config in configs
+            ]
+
+        fused, serial = build(), build()
+        try:
+            for step in range(3):
+                contexts = [
+                    make_context(snapshot, MINUTES_PER_DAY + 7.0 * (step * len(configs) + i))
+                    for i in range(len(configs))
+                ]
+                rankings = decide_lockstep(list(zip(fused, contexts)))
+                expected = [
+                    framework.rank_tasks(context)
+                    for framework, context in zip(serial, contexts)
+                ]
+                assert rankings == expected
+                for a, b in zip(fused, serial):
+                    for key, decision in a._pending.items():
+                        other = b._pending[key]
+                        for role in ("worker_q", "requester_q"):
+                            assert np.array_equal(getattr(decision, role), getattr(other, role))
+        finally:
+            for framework in fused + serial:
+                framework.trainer.close()
 
 
 class TestFusedTrainSteps:

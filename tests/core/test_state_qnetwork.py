@@ -140,8 +140,6 @@ class TestSetQNetwork:
             np.zeros(schema.worker_dim), np.zeros((0, schema.task_dim)), []
         )
         assert network.q_values(state).shape == (0,)
-        assert network.max_q(state) == 0.0
-        assert network.greedy_action(state) is None
 
     def test_padding_does_not_affect_real_q_values(self, schema):
         unpadded = StateTransformer(schema)
@@ -184,14 +182,6 @@ class TestSetQNetwork:
         q_big = network.q_values(state_big)[:3]
         q_small = network.q_values(state_small)
         assert not np.allclose(q_big, q_small)
-
-    def test_greedy_action_is_argmax(self, schema):
-        transformer = StateTransformer(schema)
-        network = SetQNetwork(transformer.row_dim, hidden_dim=16, num_heads=2, seed=0)
-        state = random_state(schema, transformer, num_tasks=5)
-        values = network.q_values(state)
-        assert network.greedy_action(state) == int(np.argmax(values))
-        assert network.max_q(state) == pytest.approx(values.max())
 
     def test_clone_copies_parameters(self, schema):
         transformer = StateTransformer(schema)

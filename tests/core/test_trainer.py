@@ -142,7 +142,7 @@ class TestAsyncTrainerFixedSchedule:
                 rng = np.random.default_rng(async_agent.diagnostics.observations)
                 state = make_state(rng)
                 np.testing.assert_array_equal(
-                    trainer.q_values(async_agent, state), sync_agent.q_values(state)
+                    trainer.scorer(async_agent).q_values(state), sync_agent.q_values(state)
                 )
         finally:
             trainer.close()
@@ -198,7 +198,7 @@ class TestAsyncTrainerFreeRunning:
             state = make_state(rng)
             # drain() republished: the snapshot serves the live parameters.
             np.testing.assert_array_equal(
-                trainer.q_values(agent, state), agent.q_values(state)
+                trainer.scorer(agent).q_values(state), agent.q_values(state)
             )
         finally:
             trainer.close()

@@ -90,9 +90,42 @@ class TestSeededHandoffDeterminism:
         [vectorized] = VectorizedRunner(
             [(dataset, build_policy("ddqn-worker", dataset, **ASYNC_FIXED))], config(25)
         ).run()
-        # Async frameworks are excluded from lockstep fusion (the trainer owns
-        # the optimiser); the serial fallback must agree exactly.
+        # Async frameworks train through their trainer loop (the trainer owns
+        # the optimiser), not the fused store/train path; the run must agree
+        # exactly with the serial one.
         assert_results_identical(serial, vectorized)
+
+
+class TestDriftProbe:
+    @pytest.fixture(scope="class")
+    def probe_dataset(self):
+        return generate_crowdspring(scale=0.05, num_months=2, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float64_probe_reads_exactly_zero_beside_a_free_running_trainer(
+        self, probe_dataset, seed
+    ):
+        """The probe scores the parameters decisions are served from (the
+        snapshot), never the online network the trainer thread is stepping."""
+        policy = build_policy(
+            "ddqn-worker",
+            probe_dataset,
+            hidden_dim=16,
+            num_heads=2,
+            batch_size=8,
+            seed=seed,
+            async_training=True,
+        )
+        runner_config = RunnerConfig(
+            seed=seed, max_arrivals=150, max_warmup_observations=12, drift_every=1
+        )
+        try:
+            result = SimulationRunner(probe_dataset, runner_config).run(policy)
+        finally:
+            policy.trainer.close()
+        assert policy.trainer.stats()["train_steps"] > 0
+        assert len(result.drift) == result.arrivals == 150
+        assert [reading["max_abs"] for reading in result.drift] == [0.0] * 150
 
 
 class TestAsyncCheckpointRoundTrip:

@@ -22,6 +22,7 @@ from repro.api import (
 )
 from repro.datasets import generate_crowdspring
 from repro.eval import RunnerConfig, SimulationRunner, VectorizedRunner
+from repro.eval.runner import _contiguous_slices
 from tests.eval.test_determinism import assert_results_identical
 
 TINY_DDQN = {"hidden_dim": 8, "num_heads": 2, "batch_size": 4, "seed": 0, "max_tasks": 12}
@@ -239,6 +240,16 @@ class TestReplicaThreads:
             online_b = state_b["agent_w"]["learner"]["online"]
             for name in online_a:
                 assert np.array_equal(online_a[name], online_b[name]), name
+
+    def test_rounds_split_into_contiguous_near_even_chunks(self):
+        """Chunk order is what keeps threaded responses in replica order."""
+        for count in (0, 1, 5, 16, 17):
+            for parts in (1, 2, 4, 7, 32):
+                slices = _contiguous_slices(count, parts)
+                covered = [i for piece in slices for i in range(piece.start, piece.stop)]
+                assert covered == list(range(count))
+                assert len(slices) == min(parts, count)
+        assert [piece.stop - piece.start for piece in _contiguous_slices(10, 4)] == [3, 3, 2, 2]
 
     def test_requested_threads_clamp_to_budget_with_warning(self, datasets, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_THREADS", "1")
