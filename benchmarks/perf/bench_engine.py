@@ -4,7 +4,9 @@ Times the hot paths that the batched engine and the fused-kernel work
 rewrote — Q-network forward, the prioritized-replay ops, the fused QKV
 projection and the flat-buffer Adam — *before* (per-sample / unfused
 reference implementations) and *after* (batched / fused paths), plus the
-Double-DQN ``train_step`` alone in ms/step, and writes the timings to
+Double-DQN ``train_step`` alone in ms/step, once on the small fixture below
+and once at the ``learn`` workload's shape (``train_step_learn``, with its
+minor page faults per step), and writes the timings to
 ``BENCH_engine.json``.  A ``--dtype`` axis additionally reruns the
 forward/train_step benchmarks per precision, so the report records the
 float32-vs-float64 speedup of the compute core.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -62,7 +65,8 @@ class BenchConfig:
     memory_size: int = 200
     pool_min: int = 3
     pool_max: int = 6
-    max_branches: int = 4
+    #: Future-state branch counts each transition draws from, uniformly.
+    branches: tuple[int, ...] = (2, 3, 4)
     forward_states: int = 64
     tree_capacity: int = 1024
     tree_updates: int = 512
@@ -79,13 +83,33 @@ class BenchConfig:
             memory_size=30,
             pool_min=2,
             pool_max=4,
-            max_branches=2,
+            branches=(2,),
             forward_states=8,
             tree_capacity=64,
             tree_updates=32,
             warmup=1,
             repeats=3,
             repeats_slow=2,
+        )
+
+    @classmethod
+    def learn(cls) -> "BenchConfig":
+        """The shape the ``learn`` workload trains at, in both modes.
+
+        A traced ``perfbench/run.py --workload learn`` run reads 15.2 rows
+        per state and 144.1 non-empty branches per step; here states hold
+        10-20 rows (mean 15) and transitions 2 or 3 branches (mean 2.25,
+        144 per batch of 64).  Five warm-up steps reach the steady state
+        the fault count is read in.
+        """
+        return cls(
+            hidden_dim=64,
+            batch_size=64,
+            pool_min=10,
+            pool_max=20,
+            branches=(2, 2, 2, 3),
+            warmup=5,
+            repeats=10,
         )
 
 
@@ -133,7 +157,7 @@ def build_learner(config: BenchConfig, schema, transformer, dtype: str = "float6
         state = random_state(
             schema, transformer, int(rng.integers(config.pool_min, config.pool_max + 1)), 100 + i
         )
-        branches = int(rng.integers(2, config.max_branches + 1))
+        branches = int(rng.choice(config.branches))
         futures = [
             (
                 1.0 / branches,
@@ -157,9 +181,14 @@ def build_learner(config: BenchConfig, schema, transformer, dtype: str = "float6
     return learner, memory
 
 
+def minor_faults() -> int:
+    """Minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 # --------------------------------------------------------------------- #
 # Individual benchmarks: each returns (before_seconds, after_seconds),
-# except bench_train_step (milliseconds per step).
+# except the train_step rows (per step).
 # --------------------------------------------------------------------- #
 def bench_forward(
     config: BenchConfig, schema, transformer, dtype: str = "float64"
@@ -202,6 +231,30 @@ def bench_train_step(
     """
     learner, memory = build_learner(config, schema, transformer, dtype)
     return 1e3 * _timeit(lambda: learner.train_step(memory), config.repeats, config.warmup)
+
+
+def bench_train_step_learn(schema, transformer) -> dict:
+    """``train_step`` at the learn workload's shape: ms and minor faults per step.
+
+    Faults are counted over the timed steps after the warm-up; a step that
+    reuses its memory takes next to none (see README "Performance").
+    """
+    config = BenchConfig.learn()
+    learner, memory = build_learner(config, schema, transformer)
+    for _ in range(config.warmup):
+        learner.train_step(memory)
+    faults = minor_faults()
+    seconds = _timeit(lambda: learner.train_step(memory), config.repeats, 0)
+    return {
+        "ms_per_step": 1e3 * seconds,
+        "minflt_per_step": (minor_faults() - faults) / config.repeats,
+        "shape": {
+            "hidden_dim": config.hidden_dim,
+            "batch_size": config.batch_size,
+            "rows": [config.pool_min, config.pool_max],
+            "branches": list(config.branches),
+        },
+    }
 
 
 def bench_qkv_fused(config: BenchConfig, dtype: str = "float64") -> tuple[float, float]:
@@ -425,8 +478,9 @@ def run(config: BenchConfig, dtypes: list[str] | None = None) -> dict:
     transformer = StateTransformer(schema)
     dtypes = list(dtypes) if dtypes else ["float64"]
 
-    results: dict[str, dict[str, float]] = {
-        "train_step": {"ms_per_step": bench_train_step(config, schema, transformer)}
+    results: dict[str, dict] = {
+        "train_step": {"ms_per_step": bench_train_step(config, schema, transformer)},
+        "train_step_learn": bench_train_step_learn(schema, transformer),
     }
     for name, runner in (
         ("forward", lambda: bench_forward(config, schema, transformer)),
@@ -457,13 +511,17 @@ def run(config: BenchConfig, dtypes: list[str] | None = None) -> dict:
 
 
 def render(report: dict) -> str:
-    lines = [f"{'op':<14} {'before':>12} {'after':>12} {'speedup':>9}"]
+    lines = [f"{'op':<16} {'before':>12} {'after':>12} {'speedup':>9}"]
     for name, entry in report["results"].items():
         if "ms_per_step" in entry:
-            lines.append(f"{name:<14} {'':>12} {entry['ms_per_step']:>10.2f}ms   ms/step")
+            faults = entry.get("minflt_per_step")
+            note = "" if faults is None else f"  {faults:.0f} minor faults/step"
+            lines.append(
+                f"{name:<16} {'':>12} {entry['ms_per_step']:>10.2f}ms   ms/step{note}"
+            )
             continue
         lines.append(
-            f"{name:<14} {entry['before_s'] * 1e3:>10.2f}ms {entry['after_s'] * 1e3:>10.2f}ms "
+            f"{name:<16} {entry['before_s'] * 1e3:>10.2f}ms {entry['after_s'] * 1e3:>10.2f}ms "
             f"{entry['speedup']:>8.1f}x"
         )
     dtypes = report.get("dtypes", {})

@@ -17,6 +17,7 @@ from benchmarks.perf.bench_engine import main as engine_main
 EXPECTED_OPS = {
     "forward",
     "train_step",
+    "train_step_learn",
     "qkv_fused",
     "adam_flat",
     "replay_update",
@@ -35,6 +36,10 @@ def test_quick_bench_runs_and_writes_report(tmp_path):
     assert set(on_disk["results"]) == EXPECTED_OPS
     results = dict(report["results"])
     assert results.pop("train_step")["ms_per_step"] > 0
+    learn = results.pop("train_step_learn")
+    assert learn["ms_per_step"] > 0
+    assert learn["minflt_per_step"] >= 0
+    assert learn["shape"]["hidden_dim"] == 64
     for entry in results.values():
         assert entry["before_s"] > 0
         assert entry["after_s"] > 0

@@ -146,7 +146,16 @@ class Tensor:
         even for arrays that already carry a floating dtype.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_grad_view")
+    __slots__ = (
+        "data",
+        "grad",
+        "requires_grad",
+        "_backward",
+        "_parents",
+        "name",
+        "_grad_view",
+        "_grad_owned",
+    )
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None, dtype=None):
         if dtype is not None:
@@ -169,6 +178,9 @@ class Tensor:
         #: first contribution into it instead of allocating a fresh array,
         #: so the optimiser's gather step becomes a no-op.
         self._grad_view: np.ndarray | None = None
+        #: Whether :attr:`grad` is a buffer this tensor may add into in place
+        #: (see :meth:`_accumulate`).
+        self._grad_owned = False
 
     # ------------------------------------------------------------------ #
     # Introspection helpers
@@ -233,30 +245,42 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
         """Add ``grad`` into this tensor's gradient buffer.
 
-        The first accumulation copies ``grad`` into an owned, writable buffer
-        so that later contributions can be added in-place — the backward pass
-        calls this in a hot loop, and avoiding a fresh allocation per
-        accumulation is measurable on large graphs.
-
-        ``fresh=True`` promises that ``grad`` is a newly allocated array the
-        caller will not reuse (most backward closures compute one — e.g.
-        ``grad @ W.T``); the buffer is then *adopted* instead of copied,
-        which removes one full-size allocation per graph node.  Views of
-        other arrays (reshape/transpose/split backward) must keep the
-        default, or a later in-place ``+=`` would corrupt their parent.
+        The first contribution is *adopted*, not copied: most backward
+        closures compute a new array (e.g. ``grad @ W.T``), and residual
+        adds and reshapes hand their own gradient, or a view of it, to
+        their parents.  ``fresh=True`` promises that ``grad`` is a newly
+        allocated array nobody else holds; only then does this tensor own
+        the buffer and add later contributions into it in place.  A shared
+        buffer (``fresh=False``) is never written: the second contribution
+        is added out of place into a new, owned buffer.  Either way the
+        additions and their order are those of copying the first
+        contribution and adding the rest into the copy, so every gradient
+        value is the same bit for bit.
         """
         if not self.requires_grad:
             return
         if self.grad is None:
             if self._grad_view is not None:
                 np.copyto(self._grad_view, grad)
-                self.grad = self._grad_view
-            elif fresh and grad.dtype == self.data.dtype:
-                self.grad = grad
+                self.grad, self._grad_owned = self._grad_view, True
+            elif grad.dtype == self.data.dtype:
+                self.grad, self._grad_owned = grad, fresh
             else:
-                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
-        else:
+                self.grad, self._grad_owned = grad.astype(self.data.dtype), True
+        elif self._grad_owned:
             self.grad += grad
+        else:
+            self.grad = np.add(self.grad, grad, out=np.empty_like(self.grad))
+            self._grad_owned = True
+
+    def _owned_grad(self) -> np.ndarray:
+        """The gradient buffer, writable in place: zeros if absent, a copy if shared."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        elif not self._grad_owned:
+            self.grad = self.grad.copy(order="K")
+        self._grad_owned = True
+        return self.grad
 
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -490,46 +514,15 @@ class Tensor:
 
         return self._make_child(data, (self,), backward)
 
-    def split(self, sections: int, axis: int = -1) -> list["Tensor"]:
-        """Split into ``sections`` equal chunks along ``axis``.
-
-        The cheap counterpart of indexing with column slices: each chunk's
-        backward writes its gradient directly into the owning slice of the
-        parent's gradient buffer, so splitting a ``(rows, 3E)`` activation
-        costs one full-size zero allocation in total instead of one *per*
-        chunk (what ``__getitem__`` would materialise).  General-purpose
-        sibling of :meth:`unbind` (which the fused QKV projection uses and
-        which drops the axis instead of keeping a shortened one).
-        """
-        axis = axis % self.data.ndim
-        length = self.data.shape[axis]
-        if sections <= 0 or length % sections != 0:
-            raise ValueError(
-                f"cannot split axis of length {length} into {sections} equal sections"
-            )
-        step = length // sections
-        pieces: list[Tensor] = []
-        for start in range(0, length, step):
-            index = (slice(None),) * axis + (slice(start, start + step),)
-
-            def backward(grad: np.ndarray, index=index) -> None:
-                if not self.requires_grad:
-                    return
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[index] += grad
-
-            pieces.append(self._make_child(self.data[index], (self,), backward))
-        return pieces
-
     def unbind(self, axis: int = 0) -> list["Tensor"]:
         """Slice off every index of ``axis`` (the axis is dropped).
 
-        Like :meth:`split` this uses the cheap backward — each piece's
+        The pieces are plain views with the axis removed, so unbinding a
+        packed ``(3, ..., rows, head_dim)`` QKV stack costs no data movement
+        in the forward pass.  The backward is cheap too: each piece's
         gradient is written straight into the owning slice of the parent's
-        gradient buffer — but the returned pieces are plain views with the
-        axis removed, so unbinding a packed ``(3, ..., rows, head_dim)``
-        QKV stack costs no data movement at all in the forward pass.
+        gradient buffer (one full-size zero allocation in total, instead of
+        one per piece as indexing would materialise).
         """
         axis = axis % self.data.ndim
         pieces: list[Tensor] = []
@@ -537,11 +530,8 @@ class Tensor:
             index = (slice(None),) * axis + (position,)
 
             def backward(grad: np.ndarray, index=index) -> None:
-                if not self.requires_grad:
-                    return
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[index] += grad
+                if self.requires_grad:
+                    self._owned_grad()[index] += grad
 
             pieces.append(self._make_child(self.data[index], (self,), backward))
         return pieces

@@ -1,4 +1,4 @@
-"""BLAS thread-count control for the big GEMMs (ROADMAP item 3).
+"""BLAS thread-count control for the big GEMMs, and the heap policy.
 
 numpy's matmul dispatches to the BLAS bundled with the wheel (OpenBLAS in the
 ``numpy.libs`` vendored build); its thread pool size decides whether the
@@ -13,12 +13,26 @@ Use :func:`set_num_threads` / :func:`num_threads` for a process-wide setting
 and the :func:`blas_threads` context manager to scope a setting to one block
 — the benchmarks record the active setting in their environment blocks via
 :func:`thread_info`.
+
+The same ctypes route sets the one heap policy the train step needs.  A
+learn-shape step allocates tens of megabytes of temporaries and frees them
+all; by default glibc hands that memory back to the kernel after every step,
+and the next step faults it back in as zero-filled pages (about half of a
+hidden-64 train step was kernel time).  At import, :func:`_apply_heap_pad`
+asks glibc to keep :data:`HEAP_TOP_PAD` bytes of slack at the top of every
+malloc arena instead, so steady-state steps reuse their memory.  The pad is
+a fixed constant with no override, and a no-op (recorded as ``None``) where
+``mallopt`` is unavailable.  Setting it also freezes glibc's adaptive mmap
+threshold where import left it, so a large temporary that finds no free
+chunk big enough (a fragmented heap, or a step that outgrows the pad) is
+still mapped, and faulted, afresh.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import platform
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -52,6 +66,13 @@ _SYMBOL_PAIRS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+
+#: Bytes of free memory each glibc malloc arena keeps at its top instead of
+#: returning it to the kernel (``mallopt(M_TOP_PAD, ...)``).
+HEAP_TOP_PAD = 64 << 20
+
+#: glibc's ``M_TOP_PAD`` parameter number (``malloc.h``).
+_M_TOP_PAD = -2
 
 _RESOLVED: tuple | None = None
 _PROBED = False
@@ -131,12 +152,17 @@ def blas_threads(count: int):
 
 
 def thread_info() -> dict:
-    """What the benchmarks record: controllability and the active setting."""
+    """What the benchmarks record: BLAS controllability and setting, heap pad.
+
+    ``heap_top_pad`` is the glibc top pad in bytes applied at import, or
+    None when the process runs without it.
+    """
     return {
         "controllable": _resolve() is not None,
         "blas_threads": num_threads(),
         "env": os.environ.get(ENV_VAR),
         "cpu_count": os.cpu_count(),
+        "heap_top_pad": _HEAP_TOP_PAD_APPLIED,
     }
 
 
@@ -210,4 +236,19 @@ def _apply_env() -> None:
         set_num_threads(count)
 
 
+def _apply_heap_pad() -> int | None:
+    """Set glibc's top pad to :data:`HEAP_TOP_PAD`; the bytes applied, or None."""
+    if platform.libc_ver()[0] != "glibc":
+        return None
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # pragma: no cover - stripped libc
+        return None
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return HEAP_TOP_PAD if mallopt(_M_TOP_PAD, HEAP_TOP_PAD) == 1 else None
+
+
 _apply_env()
+#: The top pad applied at import (what :func:`thread_info` reports).
+_HEAP_TOP_PAD_APPLIED = _apply_heap_pad()

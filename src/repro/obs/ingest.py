@@ -192,14 +192,23 @@ def ingest_bench_report(store: MetricsStore, path: str | Path, label: str = "") 
     The scaling rows of ``bench_serving`` carry a ``label`` field (e.g.
     ``sync-x2``), so list indices stay readable through that sibling; the
     ``environment`` block is machine description, not a metric, and is
-    skipped.
+    skipped, except for the heap top pad the run was under, which lands in
+    the report row's ``heap_top_pad`` column.
     """
     path = Path(path)
     report = json.loads(path.read_text())
+    threads = report.get("environment", {}).get("threads", {})
     ingest_id = store.begin_ingest("bench", path.name, label)
     cursor = store.execute(
-        "INSERT INTO bench_reports (ingest_id, benchmark, mode, source) VALUES (?, ?, ?, ?)",
-        (ingest_id, str(report.get("benchmark", path.stem)), report.get("mode"), path.name),
+        "INSERT INTO bench_reports (ingest_id, benchmark, mode, source, heap_top_pad) "
+        "VALUES (?, ?, ?, ?, ?)",
+        (
+            ingest_id,
+            str(report.get("benchmark", path.stem)),
+            report.get("mode"),
+            path.name,
+            threads.get("heap_top_pad"),
+        ),
     )
     report_id = int(cursor.lastrowid)
     metrics: list[tuple[str, float]] = []

@@ -28,14 +28,15 @@ __all__ = ["MetricsStore", "SCHEMA_VERSION"]
 #: Version written by this build.  Bump together with a new entry in
 #: :data:`_SCHEMA_MIGRATIONS`; never edit an existing entry — stores in the
 #: wild replay exactly the recorded steps.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Ordered migration steps ``version -> (description, [DDL statements])``,
 #: the relational mirror of ``repro.core.framework._CONFIG_MIGRATIONS``.
 #: Version 1 is the base schema (runs, sweeps, benches, figure tables);
 #: version 2 adds the serving event log and the float32 drift facts;
 #: version 3 adds the serving fault/health/supervisor record table;
-#: version 4 adds the shard column (process-sharded serving) to both.
+#: version 4 adds the shard column (process-sharded serving) to both;
+#: version 5 records the heap top pad a bench report ran under.
 _SCHEMA_MIGRATIONS: dict[int, tuple[str, list[str]]] = {
     1: (
         "base schema: ingests, results, monthly, bench reports, figure tables",
@@ -174,6 +175,11 @@ _SCHEMA_MIGRATIONS: dict[int, tuple[str, list[str]]] = {
             "ALTER TABLE serve_events ADD COLUMN shard INTEGER",
             "ALTER TABLE faults ADD COLUMN shard INTEGER",
         ],
+    ),
+    5: (
+        "heap_top_pad column on bench reports (glibc top pad in bytes the run "
+        "was under); NULL when the report records none",
+        ["ALTER TABLE bench_reports ADD COLUMN heap_top_pad INTEGER"],
     ),
 }
 

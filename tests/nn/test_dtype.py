@@ -113,9 +113,9 @@ class TestTensorDtype:
         x = Tensor(np.array([1.0, 2.0]))
         assert (x * 0.25).dtype == np.float64
 
-    def test_split_preserves_dtype_and_grads(self):
-        x = Tensor(np.ones((2, 6), dtype=np.float32), requires_grad=True)
-        a, b, c = x.split(3, axis=-1)
+    def test_unbind_preserves_dtype_and_grads(self):
+        x = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+        a, b, c = x.unbind(0)
         assert all(piece.dtype == np.float32 for piece in (a, b, c))
         (a.sum() + b.sum() + c.sum()).backward()
         assert x.grad.dtype == np.float32

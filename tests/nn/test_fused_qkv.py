@@ -5,7 +5,7 @@ shapes, leading batch dims and padding masks, the fused
 :class:`MultiHeadSelfAttention` must match a reference implementation that
 runs three separate Q/K/V projections — in **values and in gradients** (both
 the fused in-projection parameters and the input).  Also pins the
-:meth:`Tensor.split` op the fusion is built on: equality with slice indexing,
+:meth:`Tensor.unbind` op the fusion is built on: equality with indexing,
 cheap-backward correctness and gradient accumulation alongside other
 consumers of the parent.
 """
@@ -117,21 +117,19 @@ class TestFusedQKVEquivalence:
             )
 
 
-class TestTensorSplit:
+class TestTensorUnbind:
     @pytest.mark.parametrize("case", range(20))
-    def test_split_matches_slice_indexing(self, case):
+    def test_unbind_matches_indexing(self, case):
         rng = np.random.default_rng(3_000 + case)
         ndim = int(rng.integers(1, 4))
-        sections = int(rng.integers(1, 4))
         axis = int(rng.integers(-ndim, ndim))
-        shape = [int(rng.integers(1, 5)) for _ in range(ndim)]
-        shape[axis] = sections * int(rng.integers(1, 4))
+        shape = tuple(int(rng.integers(1, 5)) for _ in range(ndim))
         data = rng.standard_normal(shape)
 
         x = Tensor(data.copy(), requires_grad=True)
-        pieces = x.split(sections, axis=axis)
-        expected = np.split(data, sections, axis=axis)
-        assert len(pieces) == sections
+        pieces = x.unbind(axis)
+        expected = [np.take(data, i, axis=axis) for i in range(shape[axis])]
+        assert len(pieces) == shape[axis]
         for piece, want in zip(pieces, expected):
             np.testing.assert_array_equal(piece.numpy(), want)
 
@@ -142,39 +140,24 @@ class TestTensorSplit:
         loss.backward()
 
         y = Tensor(data.copy(), requires_grad=True)
-        ref_pieces = [
-            y[tuple(slice(None) for _ in range(axis % ndim)) + (slice(start, stop),)]
-            for start, stop in zip(
-                range(0, shape[axis % ndim], shape[axis % ndim] // sections),
-                range(
-                    shape[axis % ndim] // sections,
-                    shape[axis % ndim] + 1,
-                    shape[axis % ndim] // sections,
-                ),
-            )
-        ]
+        lead = (slice(None),) * (axis % ndim)
+        ref_pieces = [y[lead + (i,)] for i in range(shape[axis])]
         ref_loss = ref_pieces[0].sum()
         for k, piece in enumerate(ref_pieces[1:], start=2):
             ref_loss = ref_loss + piece.sum() * float(k)
         ref_loss.backward()
         np.testing.assert_allclose(x.grad, y.grad, atol=1e-12)
 
-    def test_split_rejects_uneven_sections(self):
-        with pytest.raises(ValueError, match="cannot split"):
-            Tensor(np.zeros((2, 5))).split(3, axis=-1)
-
-    def test_split_backward_accumulates_with_other_consumers(self):
+    def test_unbind_backward_accumulates_with_other_consumers(self):
         """The cheap backward must add into, not overwrite, existing grads."""
         x = Tensor(np.ones((2, 4)), requires_grad=True)
-        a, b = x.split(2, axis=-1)
+        a, b = x.unbind(0)
         loss = a.sum() + b.sum() * 3.0 + (x * 2.0).sum()
         loss.backward()
-        expected = np.concatenate(
-            [np.full((2, 2), 1.0 + 2.0), np.full((2, 2), 3.0 + 2.0)], axis=-1
-        )
+        expected = np.stack([np.full(4, 1.0 + 2.0), np.full(4, 3.0 + 2.0)])
         np.testing.assert_allclose(x.grad, expected)
 
-    def test_split_without_grad_tracking(self):
+    def test_unbind_without_grad_tracking(self):
         x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-        pieces = x.split(3, axis=1)
+        pieces = x.unbind(1)
         assert all(not piece.requires_grad for piece in pieces)

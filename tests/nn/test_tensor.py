@@ -256,3 +256,85 @@ class TestNoGrad:
         c = a * 4
         (b + c).sum().backward()
         np.testing.assert_allclose(a.grad, [7.0])
+
+
+def copy_on_first_accumulate(self, grad, fresh=False):
+    """Copy-on-first accumulation, the reference the adopting one must match
+    bit for bit: copy every shared first contribution, add later ones in place."""
+    if not self.requires_grad:
+        return
+    if self.grad is None:
+        if self._grad_view is not None:
+            np.copyto(self._grad_view, grad)
+            self.grad = self._grad_view
+        elif fresh and grad.dtype == self.data.dtype:
+            self.grad = grad
+        else:
+            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+        # Every buffer is private here, as unbind's backward assumed.
+        self._grad_owned = True
+    else:
+        self.grad += grad
+
+
+class TestGradientOwnership:
+    """First contributions are adopted; a shared buffer is never written."""
+
+    def test_add_hands_both_parents_one_buffer(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is b.grad
+        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_second_contribution_leaves_the_shared_buffer_alone(self, add_first):
+        rng = np.random.default_rng(5)
+        weight = rng.standard_normal((2, 3))
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        c = a + b
+        # ``a`` is consumed once more; either order of the two backwards must
+        # leave the buffer ``c`` handed to ``b`` untouched.
+        terms = [(c * weight).sum(), (a * 3.0).sum()]
+        (terms[0] + terms[1] if add_first else terms[1] + terms[0]).backward()
+        assert b.grad is c.grad
+        np.testing.assert_array_equal(b.grad, weight)
+        np.testing.assert_array_equal(a.grad, weight + 3.0)
+
+    @pytest.mark.parametrize("reshape_first", [True, False])
+    def test_unbind_does_not_write_a_reshape_childs_buffer(self, reshape_first):
+        rng = np.random.default_rng(6)
+        row_weights = rng.standard_normal((2, 3))
+        flat_weight = rng.standard_normal(6)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        t = x * 2.0
+        flat = t.reshape(6)  # its backward hands ``t`` a view of its own grad
+        pieces = t.unbind(0)
+        terms = [
+            (flat * flat_weight).sum(),
+            (pieces[0] * row_weights[0]).sum() + (pieces[1] * row_weights[1]).sum(),
+        ]
+        (terms[0] + terms[1] if reshape_first else terms[1] + terms[0]).backward()
+        np.testing.assert_array_equal(flat.grad, flat_weight)
+        np.testing.assert_array_equal(
+            x.grad, (flat_weight.reshape(2, 3) + row_weights) * 2.0
+        )
+
+    def test_learn_shape_train_step_gradient_is_bitwise_unchanged(self, monkeypatch):
+        from benchmarks.perf.bench_engine import BenchConfig, build_learner, make_schema
+        from repro.core import StateTransformer
+
+        schema = make_schema()
+        transformer = StateTransformer(schema)
+
+        def one_step():
+            learner, memory = build_learner(BenchConfig.learn(), schema, transformer)
+            learner.train_step(memory)
+            return learner.optimizer
+
+        adopted = one_step()
+        monkeypatch.setattr(Tensor, "_accumulate", copy_on_first_accumulate)
+        copied = one_step()
+        assert adopted._flat_grads.tobytes() == copied._flat_grads.tobytes()
+        assert adopted._flat_params.tobytes() == copied._flat_params.tobytes()

@@ -1,4 +1,4 @@
-"""The BLAS thread-count knob (``repro.nn.threads``).
+"""The BLAS thread-count knob and the heap top pad (``repro.nn.threads``).
 
 The module talks to numpy's vendored BLAS via ctypes and degrades to an
 informative no-op when no known runtime is found.  The tests exercise both
@@ -6,6 +6,8 @@ shapes: on this repository's pinned numpy the runtime is controllable, so the
 set/get/context-manager round trips run for real; the no-op contract is
 tested by stubbing resolution away.
 """
+
+import platform
 
 import pytest
 
@@ -44,12 +46,23 @@ class TestControl:
 
     def test_thread_info_shape(self):
         info = threads.thread_info()
-        assert set(info) == {"controllable", "blas_threads", "env", "cpu_count"}
+        assert set(info) == {"controllable", "blas_threads", "env", "cpu_count", "heap_top_pad"}
         assert isinstance(info["controllable"], bool)
         if info["controllable"]:
             assert isinstance(info["blas_threads"], int)
         else:
             assert info["blas_threads"] is None
+
+
+class TestHeapTopPad:
+    def test_pad_is_applied_and_reported_on_glibc(self):
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("mallopt is glibc-only")
+        assert threads.thread_info()["heap_top_pad"] == threads.HEAP_TOP_PAD
+
+    def test_pad_is_a_recorded_noop_off_glibc(self, monkeypatch):
+        monkeypatch.setattr(threads.platform, "libc_ver", lambda: ("", ""))
+        assert threads._apply_heap_pad() is None
 
 
 class TestUncontrollableFallback:

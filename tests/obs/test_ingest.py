@@ -102,6 +102,21 @@ def test_bench_report_flattens_numeric_leaves_only():
         assert reports == [("batched tensor engine", "BENCH_engine.json")]
 
 
+@pytest.mark.parametrize("pad", [67108864, None])
+def test_bench_report_records_its_heap_top_pad(tmp_path, pad):
+    report = tmp_path / "BENCH_x.json"
+    threads = {"blas_threads": 1} if pad is None else {"blas_threads": 1, "heap_top_pad": pad}
+    report.write_text(
+        json.dumps({"benchmark": "x", "environment": {"threads": threads}, "results": {"a": 1.0}})
+    )
+    with MetricsStore() as store:
+        ingest_bench_report(store, report)
+        _, rows = store.query("SELECT heap_top_pad FROM bench_reports")
+        assert rows == [(pad,)]
+        _, paths = store.query("SELECT path FROM bench_metrics")
+        assert paths == [("results.a",)]
+
+
 def test_serve_events_ingest_from_directory(tmp_path):
     log_dir = tmp_path / "events"
     log_dir.mkdir()

@@ -150,3 +150,23 @@ def test_v3_store_gains_shard_column_and_keeps_rows(tmp_path):
             "SELECT tenant, shard FROM serve_events WHERE shard IS NOT NULL"
         )
         assert rows == [("beta", 1)]
+
+
+def test_v4_store_gains_heap_top_pad_column_and_keeps_rows(tmp_path, monkeypatch):
+    """v4 → v5: bench reports gain ``heap_top_pad``; older reports read NULL."""
+    from repro.obs import store as store_module
+
+    path = tmp_path / "v4.sqlite"
+    monkeypatch.setattr(store_module, "SCHEMA_VERSION", 4)
+    with MetricsStore(path) as store:
+        ingest_id = store.begin_ingest("bench", "BENCH_x.json", "old")
+        store.execute(
+            "INSERT INTO bench_reports (ingest_id, benchmark, mode, source) "
+            "VALUES (?, 'x', 'quick', 'BENCH_x.json')",
+            (ingest_id,),
+        )
+    monkeypatch.undo()
+    with MetricsStore(path) as store:
+        assert store.schema_version == SCHEMA_VERSION
+        _, rows = store.query("SELECT benchmark, heap_top_pad FROM bench_reports")
+        assert rows == [("x", None)]
