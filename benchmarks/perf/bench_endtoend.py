@@ -474,18 +474,8 @@ def main(argv: list[str] | None = None) -> dict:
         help="also measure asynchronous DDQN training (sync vs async arrivals/s, "
         "decision p50/p99, trainer utilisation)",
     )
-    parser.add_argument(
-        "--blas-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pin the BLAS thread-pool size for the run "
-        "(recorded in the report's environment block)",
-    )
     args = parser.parse_args(argv)
 
-    if args.blas_threads is not None and not nn_threads.set_num_threads(args.blas_threads):
-        print("warning: BLAS runtime is not controllable; --blas-threads ignored")
     if args.quick:
         config = EndToEndConfig.quick()
     elif args.preset == "paper":

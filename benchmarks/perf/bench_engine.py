@@ -562,18 +562,8 @@ def main(argv: list[str] | None = None) -> dict:
         help="precisions for the per-dtype forward/train_step axis "
         "(default: both, so the report records the float32 speedup)",
     )
-    parser.add_argument(
-        "--blas-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pin the BLAS thread-pool size for the run "
-        "(recorded in the report's environment block)",
-    )
     args = parser.parse_args(argv)
 
-    if args.blas_threads is not None and not nn_threads.set_num_threads(args.blas_threads):
-        print("warning: BLAS runtime is not controllable; --blas-threads ignored")
     config = BenchConfig.quick() if args.quick else BenchConfig()
     report = run(config, dtypes=args.dtype)
     report["mode"] = "quick" if args.quick else "full"

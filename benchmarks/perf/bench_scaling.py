@@ -1,6 +1,6 @@
-"""Multi-core scale-out benchmark: shards × replica threads.
+"""Multi-core scale-out benchmark: serve shards × sweep workers.
 
-Measures the two composable scale-out axes this codebase ships and — more
+Measures the two process-level scale-out axes this codebase ships and — more
 importantly on a CI box — *verifies their exactness contracts* while doing
 so:
 
@@ -12,12 +12,15 @@ so:
   deployments of the largest tenant count must drain **byte-identical**
   checkpoint trees (modulo wall-clock timing fields) — the benchmark fails
   ``--check`` otherwise.
-* **Threaded lockstep replicas** (``VectorizedRunner(replica_threads=T)``):
-  R offline replicas run with T = 1 and T > 1 and must produce
-  float-identical results; wall-clock per run is reported.
+* **Sweep workers** (``repro sweep run --workers N``): the same sweep runs
+  at each worker count into a fresh directory; every row records the BLAS
+  threads each worker got from the thread budget and the elapsed time, and
+  its ``results.json`` must be **byte-identical** to the one-worker row's.
+  Quick mode runs ``examples/specs/ci_sweep.json``; full mode runs
+  ``examples/specs/fig9_balance_sweep.json`` at hidden width 64 (6 cells).
 
 ``--check`` gates **exactness and completion only** — sharded ≡ unsharded
-state, threaded ≡ single-threaded results, zero replay errors.  Speedup
+state, N-worker ≡ one-worker sweep results, zero replay errors.  Speedup
 columns are informational: CI runs on one core, where the honest expectation
 is ≈ 1× (or slightly below, for the coordination overhead); the grid exists
 so multi-core operators can read real numbers off their own hardware.
@@ -38,25 +41,23 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import platform
 import tempfile
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.api import build_policy
-from repro.datasets import generate_crowdspring
-from repro.eval import RunnerConfig, VectorizedRunner
+from repro.api import SweepSpec, run_sweep
 from repro.nn import threads as nn_threads
 from repro.serve import ArrangementServer, ServeSpec, run_loadgen
 from repro.serve.shard import ShardedFrontend
 from repro.serve.spec import TenantSpec
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_scaling.json"
+SPECS_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 #: Wall-clock timing fields excluded from the byte-identity comparison
 #: (mirrors tests/serve/conftest.py).
@@ -66,11 +67,29 @@ TIMING_ARRAY_KEYS = {"runner/retrain_seconds"}
 TINY_DDQN = {"hidden_dim": 16, "num_heads": 2, "batch_size": 8, "train_interval": 4}
 
 
+def ci_sweep() -> SweepSpec:
+    """The bundled CI smoke grid (4 cells, hidden 8 and 16)."""
+    return SweepSpec.load(SPECS_DIR / "ci_sweep.json")
+
+
+def hidden64_sweep() -> SweepSpec:
+    """``fig9_balance_sweep.json`` at hidden 64 on a scale-0.1 trace (6 cells)."""
+    spec = SweepSpec.load(SPECS_DIR / "fig9_balance_sweep.json")
+    base = spec.base
+    base.dataset = replace(base.dataset, scale=0.1)
+    base.runner = replace(base.runner, max_arrivals=30, max_warmup_observations=48)
+    base.policies[0].kwargs.update(hidden_dim=64, num_heads=4, batch_size=64, train_interval=1)
+    return spec
+
+
+SWEEPS = {"ci": ci_sweep, "hidden64": hidden64_sweep}
+
+
 @dataclass
 class ScalingConfig:
     """Grid shape for the two scale-out axes."""
 
-    #: Dataset generation knobs (tenant/replica i uses seed ``i + 1``).
+    #: Dataset generation knobs (tenant i uses seed ``i + 1``).
     scale: float = 0.03
     num_months: int = 2
     #: Serve grid: tenant counts × shard counts.
@@ -78,22 +97,14 @@ class ScalingConfig:
     shard_counts: tuple[int, ...] = (1, 2)
     #: Events replayed per tenant per serve cell.
     max_events: int = 120
-    #: Replica-thread grid: replica count and thread counts.
-    replicas: int = 4
-    thread_counts: tuple[int, ...] = (1, 2)
-    replica_arrivals: int = 20
     checkpoint_every: int = 25
+    #: Sweep rows: which sweep (a key of :data:`SWEEPS`) at which worker counts.
+    sweep: str = "hidden64"
+    worker_counts: tuple[int, ...] = (1, 2)
 
     @classmethod
     def quick(cls) -> "ScalingConfig":
-        return cls(
-            tenant_counts=(2,),
-            shard_counts=(1, 2),
-            max_events=60,
-            replicas=2,
-            thread_counts=(1, 2),
-            replica_arrivals=12,
-        )
+        return cls(tenant_counts=(2,), shard_counts=(1, 2), max_events=60, sweep="ci")
 
     def build_spec(self, tenants: int) -> ServeSpec:
         return ServeSpec(
@@ -260,73 +271,50 @@ def _serve_grid(config: ScalingConfig, cache_dir: Path) -> tuple[list[dict], boo
     return rows, exact
 
 
-def _result_fingerprint(results) -> list[tuple]:
-    return [
-        (result.arrivals, result.completions, tuple(result.cr.monthly), result.qg.final)
-        for result in results
-    ]
-
-
-def _replica_thread_grid(config: ScalingConfig, datasets) -> tuple[list[dict], bool]:
-    """Threaded lockstep rows; returns (rows, threaded ≡ single-threaded)."""
-    runner_config = RunnerConfig(
-        seed=0, max_arrivals=config.replica_arrivals, max_warmup_observations=12
-    )
-    # CI may run on one core, where the budget guard would clamp every row
-    # to one thread; raise the budget so the exactness claim is tested on a
-    # genuinely threaded pool (wall-clock columns stay honest either way).
-    budget = max(nn_threads.max_threads(), max(config.thread_counts))
-    previous = os.environ.get(nn_threads.BUDGET_ENV_VAR)
-    os.environ[nn_threads.BUDGET_ENV_VAR] = str(budget)
+def _sweep_worker_grid(config: ScalingConfig) -> tuple[list[dict], bool]:
+    """The same sweep at each worker count; returns (rows, N workers ≡ 1 worker)."""
+    spec = SWEEPS[config.sweep]()
+    cells = len(spec.expand())
     rows = []
-    fingerprints = {}
-    try:
-        for threads_count in config.thread_counts:
-            replicas = [
-                (dataset, build_policy("ddqn-worker", dataset, **dict(TINY_DDQN, seed=0)))
-                for dataset in datasets[: config.replicas]
-            ]
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="bench-scaling-sweep-") as root:
+        for workers in config.worker_counts:
+            directory = Path(root) / f"x{workers}"
             started = time.perf_counter()
-            results = VectorizedRunner(
-                replicas, runner_config, replica_threads=threads_count
-            ).run()
+            run_sweep(spec, directory, workers=workers)
             elapsed = time.perf_counter() - started
-            fingerprints[threads_count] = _result_fingerprint(results)
+            results[workers] = (directory / "results.json").read_bytes()
+            # One worker runs in this process, under its BLAS setting; a pool
+            # starts each worker with its share of the thread budget.
+            processes = min(workers, cells)
             rows.append(
                 {
-                    "label": f"{len(replicas)}r-x{threads_count}thread",
-                    "replicas": len(replicas),
-                    "replica_threads": threads_count,
+                    "label": f"sweep-x{workers}worker",
+                    "workers": workers,
+                    "blas_threads_per_worker": (
+                        nn_threads.blas_share(processes)
+                        if processes > 1
+                        else nn_threads.num_threads()
+                    ),
+                    "cells": cells,
                     "elapsed_s": elapsed,
                 }
             )
-    finally:
-        if previous is None:
-            os.environ.pop(nn_threads.BUDGET_ENV_VAR, None)
-        else:
-            os.environ[nn_threads.BUDGET_ENV_VAR] = previous
-    reference = fingerprints[config.thread_counts[0]]
-    exact = all(fingerprints[count] == reference for count in config.thread_counts)
+    reference = results[config.worker_counts[0]]
+    base = rows[0]
     for row in rows:
-        row["results_identical_to_1thread"] = (
-            fingerprints[row["replica_threads"]] == reference
-        )
-        base = next(r for r in rows if r["replica_threads"] == 1)
-        row["speedup_vs_1thread"] = (
+        row["results_identical_to_1worker"] = results[row["workers"]] == reference
+        row["speedup_vs_1worker"] = (
             base["elapsed_s"] / row["elapsed_s"] if row["elapsed_s"] > 0 else 0.0
         )
-    return rows, exact
+    return rows, all(row["results_identical_to_1worker"] for row in rows)
 
 
 def run(config: ScalingConfig, cache_dir: Path) -> dict:
     serve_rows, serve_exact = _serve_grid(config, cache_dir)
-    datasets = [
-        generate_crowdspring(scale=config.scale, num_months=config.num_months, seed=seed + 1)
-        for seed in range(max(config.replicas, 1))
-    ]
-    replica_rows, replica_exact = _replica_thread_grid(config, datasets)
+    sweep_rows, sweep_exact = _sweep_worker_grid(config)
     return {
-        "benchmark": "multi-core scale-out: shards x replica threads",
+        "benchmark": "multi-core scale-out: serve shards x sweep workers",
         "config": asdict(config),
         "environment": {
             "python": platform.python_version(),
@@ -335,10 +323,10 @@ def run(config: ScalingConfig, cache_dir: Path) -> dict:
             "threads": nn_threads.thread_info(),
         },
         "serve": serve_rows,
-        "replica_threads": replica_rows,
+        "sweep_workers": sweep_rows,
         "exactness": {
             "sharded_serve_state_identical": serve_exact,
-            "threaded_replicas_identical": replica_exact,
+            "sweep_workers_identical": sweep_exact,
         },
     }
 
@@ -351,16 +339,16 @@ def render(report: dict) -> str:
             f"{row['elapsed_s']:>8.2f} {row['speedup_vs_1shard']:>7.2f}x "
             f"{str(row.get('state_identical_to_unsharded', '-')):>6}"
         )
-    for row in report["replica_threads"]:
+    for row in report["sweep_workers"]:
         lines.append(
             f"{row['label']:<22} {'-':>9} {'-':>9} {row['elapsed_s']:>8.2f} "
-            f"{row['speedup_vs_1thread']:>7.2f}x {str(row['results_identical_to_1thread']):>6}"
+            f"{row['speedup_vs_1worker']:>7.2f}x {str(row['results_identical_to_1worker']):>6}"
         )
     exact = report["exactness"]
     lines.append(
         f"\nexactness: sharded serve state "
         f"{'PASS' if exact['sharded_serve_state_identical'] else 'FAIL'}, "
-        f"threaded replicas {'PASS' if exact['threaded_replicas_identical'] else 'FAIL'} "
+        f"sweep workers {'PASS' if exact['sweep_workers_identical'] else 'FAIL'} "
         f"(speedups informational; exactness is the gate)"
     )
     return "\n".join(lines)

@@ -163,7 +163,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         directory,
         workers=args.workers,
         vectorize=args.vectorize,
-        cell_threads=args.cell_threads,
     )
     code = _run_sweep_runner(runner)
     if code == 0 and args.store is not None:
@@ -179,7 +178,6 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
         args.dir,
         workers=args.workers,
         vectorize=args.vectorize,
-        cell_threads=args.cell_threads,
     )
     code = _run_sweep_runner(runner)
     if code == 0 and args.store is not None:
@@ -227,8 +225,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         return 2
     common: list[str] = ["--quick"] if args.quick else []
-    if args.blas_threads is not None:
-        common.extend(["--blas-threads", str(args.blas_threads)])
     if args.suite in ("engine", "all"):
         forwarded = list(common)
         if args.output is not None:
@@ -287,8 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run up to N of the spec's policies on concurrent threads "
-        "(results float-identical to the serial run)",
+        help="run up to N of the spec's policies on concurrent threads, the "
+        "thread budget split between them (results float-identical to the "
+        "serial run; slower than serial at small hidden widths)",
     )
     run_parser.set_defaults(func=_cmd_run)
 
@@ -350,14 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "width N (results identical to the serial sweep)",
     )
     sweep_run.add_argument(
-        "--cell-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan each cell's policies out over up to N threads "
-        "(results float-identical to the serial sweep)",
-    )
-    sweep_run.add_argument(
         "--store",
         type=Path,
         default=None,
@@ -373,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_resume.add_argument("dir", type=Path, help="sweep directory holding sweep.json")
     sweep_resume.add_argument("--workers", type=int, default=1)
     sweep_resume.add_argument("--vectorize", type=int, default=None, metavar="N")
-    sweep_resume.add_argument("--cell-threads", type=int, default=None, metavar="N")
     sweep_resume.add_argument("--store", type=Path, default=None, metavar="DB")
     sweep_resume.set_defaults(func=_cmd_sweep_resume)
 
@@ -434,14 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also measure the asynchronous DDQN trainer in the end-to-end suite "
         "(sync vs async arrivals/s, decision p50/p99, trainer utilisation)",
-    )
-    bench_parser.add_argument(
-        "--blas-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pin the BLAS thread-pool size for both harnesses "
-        "(recorded in the reports' environment blocks)",
     )
     bench_parser.add_argument(
         "--output",

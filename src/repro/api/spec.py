@@ -11,14 +11,18 @@ scripts and the ``python -m repro`` CLI.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 from ..datasets import CrowdDataset, cached_crowdspring, generate_crowdspring
 from ..eval.metrics import EvaluationResult
-from ..eval.runner import RunnerConfig, SimulationRunner
+from ..eval.runner import RunnerConfig, SimulationRunner, VectorizedRunner
+from ..nn.threads import blas_share, blas_threads
 from .registry import build_policy, policy_entry
 
 __all__ = ["DatasetSpec", "PolicySpec", "ExperimentSpec", "run_spec"]
@@ -206,6 +210,30 @@ def _checkpoint_path(
     return Path(checkpoint_dir) / f"{slug}.npz"
 
 
+def _policy_jobs(
+    spec: ExperimentSpec,
+    dataset: CrowdDataset,
+    checkpoint_dir: str | Path | None,
+) -> Iterator[tuple[str, object, Path | None]]:
+    """Build each policy's ``(label, policy, checkpoint path)``, one at a time.
+
+    Lazy, so a consumer that runs each policy before asking for the next
+    holds one trained framework at a time.  Raises on a repeated label.
+    """
+    labels: set[str] = set()
+    checkpoint_slugs: dict[str, str] = {}
+    for policy_spec in spec.policies:
+        policy = build_policy(policy_spec.policy, dataset, **policy_spec.kwargs)
+        label = policy_spec.label if policy_spec.label is not None else policy.name
+        if label in labels:
+            raise ValueError(
+                f"duplicate result label {label!r} in spec {spec.name!r}; "
+                "set PolicySpec.label to disambiguate repeated policies"
+            )
+        labels.add(label)
+        yield label, policy, _checkpoint_path(spec, label, checkpoint_dir, checkpoint_slugs)
+
+
 def run_spec(
     spec: ExperimentSpec,
     dataset: CrowdDataset | None = None,
@@ -243,8 +271,10 @@ def run_spec(
     that size instead of one after another: the policies share nothing (each
     run works on its own entity copies and its own RNGs) and numpy releases
     the GIL inside BLAS, so the results are float-identical to the serial
-    order while independent simulations overlap.  Ignored when ``vectorize``
-    is active (the lockstep path has its own fusion).
+    order while independent simulations overlap.  While the pool runs, BLAS
+    gets :func:`repro.nn.threads.blas_share` threads, so pool threads × BLAS
+    threads stays within the thread budget.  Ignored when ``vectorize`` is
+    active (the lockstep path has its own fusion).
     """
     if not spec.policies:
         raise ValueError(f"experiment spec {spec.name!r} lists no policies")
@@ -253,78 +283,36 @@ def run_spec(
     if cell_threads is not None and cell_threads < 1:
         raise ValueError(f"cell_threads must be >= 1 or None, got {cell_threads}")
     # Fail fast on typo'd policy names before any (possibly hours-long)
-    # simulation starts; policies themselves are built one at a time below so
-    # (in the serial path) at most one trained framework is resident at once.
+    # simulation starts.
     for policy_spec in spec.policies:
         policy_entry(policy_spec.policy)
     if dataset is None:
         dataset = spec.dataset.build(cache_dir=dataset_cache_dir, write_cache=False)
 
-    checkpoint_slugs: dict[str, str] = {}
+    jobs = _policy_jobs(spec, dataset, checkpoint_dir)
     width = 1 if vectorize is None else vectorize
-    if width <= 1:
-        runner = SimulationRunner(dataset, spec.runner)
-        threads = 1 if cell_threads is None else min(cell_threads, len(spec.policies))
-        if threads > 1:
-            # Per-policy fan-out inside one cell: every run owns its entity
-            # copies and RNGs, so overlapping them on threads (numpy drops
-            # the GIL in BLAS) is float-identical to the serial order.
-            from concurrent.futures import ThreadPoolExecutor
-
-            jobs: list[tuple[str, object, Path | None]] = []
-            labels: set[str] = set()
-            for policy_spec in spec.policies:
-                policy = build_policy(policy_spec.policy, dataset, **policy_spec.kwargs)
-                label = policy_spec.label if policy_spec.label is not None else policy.name
-                if label in labels:
-                    raise ValueError(
-                        f"duplicate result label {label!r} in spec {spec.name!r}; "
-                        "set PolicySpec.label to disambiguate repeated policies"
-                    )
-                labels.add(label)
-                path = _checkpoint_path(spec, label, checkpoint_dir, checkpoint_slugs)
-                jobs.append((label, policy, path))
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(runner.run, policy, checkpoint_path=path, resume=resume)
-                    for _, policy, path in jobs
-                ]
-                return {label: future.result() for (label, _, _), future in zip(jobs, futures)}
+    if width > 1:
+        # One lockstep chunk at a time: at most ``width`` trained frameworks
+        # are resident at once.
         results: dict[str, EvaluationResult] = {}
-        for policy_spec in spec.policies:
-            policy = build_policy(policy_spec.policy, dataset, **policy_spec.kwargs)
-            label = policy_spec.label if policy_spec.label is not None else policy.name
-            if label in results:
-                raise ValueError(
-                    f"duplicate result label {label!r} in spec {spec.name!r}; "
-                    "set PolicySpec.label to disambiguate repeated policies"
-                )
-            path = _checkpoint_path(spec, label, checkpoint_dir, checkpoint_slugs)
-            results[label] = runner.run(policy, checkpoint_path=path, resume=resume)
+        while chunk := list(itertools.islice(jobs, width)):
+            replicas = [(dataset, policy, path) for _, policy, path in chunk]
+            chunk_results = VectorizedRunner(replicas, spec.runner, resume=resume).run()
+            results.update(zip([label for label, _, _ in chunk], chunk_results))
         return results
 
-    from ..eval.runner import VectorizedRunner
-
-    # Policies are built one lockstep chunk at a time, so at most ``width``
-    # trained frameworks are resident at once (mirroring the serial path's
-    # one-at-a-time bound, scaled by the requested lockstep width).
-    results = {}
-    seen: set[str] = set()
-    for start in range(0, len(spec.policies), width):
-        chunk: list[tuple[str, object, Path | None]] = []
-        for policy_spec in spec.policies[start : start + width]:
-            policy = build_policy(policy_spec.policy, dataset, **policy_spec.kwargs)
-            label = policy_spec.label if policy_spec.label is not None else policy.name
-            if label in seen:
-                raise ValueError(
-                    f"duplicate result label {label!r} in spec {spec.name!r}; "
-                    "set PolicySpec.label to disambiguate repeated policies"
-                )
-            seen.add(label)
-            path = _checkpoint_path(spec, label, checkpoint_dir, checkpoint_slugs)
-            chunk.append((label, policy, path))
-        replicas = [(dataset, policy, path) for _, policy, path in chunk]
-        chunk_results = VectorizedRunner(replicas, spec.runner, resume=resume).run()
-        for (label, _, _), result in zip(chunk, chunk_results):
-            results[label] = result
-    return results
+    runner = SimulationRunner(dataset, spec.runner)
+    threads = min(cell_threads or 1, len(spec.policies))
+    if threads > 1:
+        # Build every policy first, so a bad label fails before any run starts.
+        items = list(jobs)
+        with blas_threads(blas_share(threads)), ThreadPoolExecutor(threads) as pool:
+            futures = [
+                pool.submit(runner.run, policy, checkpoint_path=path, resume=resume)
+                for _, policy, path in items
+            ]
+            return {label: future.result() for (label, _, _), future in zip(items, futures)}
+    return {
+        label: runner.run(policy, checkpoint_path=path, resume=resume)
+        for label, policy, path in jobs
+    }

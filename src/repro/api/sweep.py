@@ -39,8 +39,16 @@ from pathlib import Path
 from typing import Callable
 
 from ..eval.reporting import MEASURES, format_table, result_payload
-from ..eval.runner import RunnerConfig
-from .spec import DatasetSpec, ExperimentSpec, _from_known_fields, _UNSAFE_COMPONENT, run_spec
+from ..eval.runner import RunnerConfig, VectorizedRunner
+from ..nn.threads import blas_share, set_num_threads
+from .spec import (
+    DatasetSpec,
+    ExperimentSpec,
+    _from_known_fields,
+    _policy_jobs,
+    _UNSAFE_COMPONENT,
+    run_spec,
+)
 
 __all__ = [
     "SweepAxis",
@@ -288,7 +296,6 @@ def _execute_cell(payload: dict) -> dict:
         checkpoint_dir=payload.get("checkpoint_dir"),
         dataset_cache_dir=payload.get("dataset_cache_dir"),
         vectorize=payload.get("vectorize"),
-        cell_threads=payload.get("cell_threads"),
         resume=True,
     )
     return {
@@ -311,10 +318,6 @@ def _execute_cell_group(group_payload: dict) -> list[dict]:
     :func:`_execute_cell` — the caller guarantees the cells share one runner
     configuration.
     """
-    from ..eval.runner import VectorizedRunner
-    from .registry import build_policy
-    from .spec import _checkpoint_path
-
     width = int(group_payload["vectorize"])
     payloads = group_payload["cells"]
     prepared: list[tuple[dict, ExperimentSpec, dict]] = []
@@ -325,20 +328,7 @@ def _execute_cell_group(group_payload: dict) -> list[dict]:
         dataset = spec.dataset.build(
             cache_dir=payload.get("dataset_cache_dir"), write_cache=False
         )
-        checkpoint_slugs: dict[str, str] = {}
-        seen: set[str] = set()
-        for policy_spec in spec.policies:
-            policy = build_policy(policy_spec.policy, dataset, **policy_spec.kwargs)
-            label = policy_spec.label if policy_spec.label is not None else policy.name
-            if label in seen:
-                raise ValueError(
-                    f"duplicate result label {label!r} in spec {spec.name!r}; "
-                    "set PolicySpec.label to disambiguate repeated policies"
-                )
-            seen.add(label)
-            path = _checkpoint_path(
-                spec, label, payload.get("checkpoint_dir"), checkpoint_slugs
-            )
+        for label, policy, path in _policy_jobs(spec, dataset, payload.get("checkpoint_dir")):
             replicas.append((dataset, policy, path))
             owners.append((cell_index, label))
         prepared.append((payload, spec, {}))
@@ -375,6 +365,21 @@ def _execute_job(job: tuple[str, dict]) -> list[dict]:
     if kind == "cell":
         return [_execute_cell(payload)]
     return _execute_cell_group(payload)
+
+
+def _worker_pool(processes: int):
+    """The sweep's process pool: ``processes`` workers, the thread budget split.
+
+    Spawn (not fork): workers re-import repro cleanly, which keeps cell
+    execution byte-for-byte identical to a fresh serial run and avoids
+    inheriting any warmed-up interpreter state.  Each worker starts with
+    :func:`repro.nn.threads.blas_share` BLAS threads, so workers × BLAS
+    threads stays within the thread budget.
+    """
+    context = multiprocessing.get_context("spawn")
+    return context.Pool(
+        processes=processes, initializer=set_num_threads, initargs=(blas_share(processes),)
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -485,23 +490,15 @@ class SweepRunner:
         directory: str | Path,
         workers: int = 1,
         vectorize: int | None = None,
-        cell_threads: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if vectorize is not None and vectorize < 1:
             raise ValueError(f"vectorize must be >= 1 or None, got {vectorize}")
-        if cell_threads is not None and cell_threads < 1:
-            raise ValueError(f"cell_threads must be >= 1 or None, got {cell_threads}")
         self.spec = spec
         self.directory = Path(directory)
         self.workers = workers
         self.vectorize = vectorize
-        #: Per-policy thread fan-out *inside* each cell (see
-        #: :func:`repro.api.run_spec`); orthogonal to ``workers``
-        #: (across-cell processes) and ignored by lockstep group jobs,
-        #: where the episode-vectorized engine already fuses the policies.
-        self.cell_threads = cell_threads
 
     # ------------------------------------------------------------------ #
     @property
@@ -590,8 +587,6 @@ class SweepRunner:
         }
         if cell.spec.runner.checkpoint_every is not None:
             payload["checkpoint_dir"] = str(self.directory / "checkpoints" / cell.cell_id)
-        if self.cell_threads is not None:
-            payload["cell_threads"] = self.cell_threads
         return payload
 
     def _jobs(self, pending: list[SweepCell]) -> list[tuple[str, dict]]:
@@ -667,11 +662,7 @@ class SweepRunner:
                 for document in _execute_job(job):
                     _record(document)
         else:
-            # Spawn (not fork): workers re-import repro cleanly, which keeps
-            # cell execution byte-for-byte identical to a fresh serial run
-            # and avoids inheriting any warmed-up interpreter state.
-            context = multiprocessing.get_context("spawn")
-            with context.Pool(processes=min(self.workers, len(jobs))) as pool:
+            with _worker_pool(min(self.workers, len(jobs))) as pool:
                 for documents in pool.imap_unordered(_execute_job, jobs):
                     for document in documents:
                         _record(document)
@@ -704,10 +695,9 @@ def run_sweep(
     directory: str | Path,
     workers: int = 1,
     vectorize: int | None = None,
-    cell_threads: int | None = None,
     progress: Callable[[str, int, int], None] | None = None,
 ) -> dict:
     """Convenience wrapper: execute ``spec`` into ``directory`` and aggregate."""
-    return SweepRunner(
-        spec, directory, workers=workers, vectorize=vectorize, cell_threads=cell_threads
-    ).run(progress=progress)
+    return SweepRunner(spec, directory, workers=workers, vectorize=vectorize).run(
+        progress=progress
+    )

@@ -29,7 +29,6 @@ cursors never starve, so the offline drivers never see idle requests.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Generator, Sequence
@@ -46,7 +45,6 @@ from ..crowd.quality import DixitStiglitzQuality
 from ..crowd.vectorized import STARVED, ReplicaStream, VectorizedPlatform, partition_requests
 from ..datasets.crowdspring import CrowdDataset
 from ..nn.serialization import load_checkpoint, save_checkpoint
-from ..nn.threads import budgeted_workers, num_threads
 from .metrics import EvaluationResult, RequesterBenefitTracker, WorkerBenefitTracker
 
 __all__ = [
@@ -602,26 +600,6 @@ class SimulationRunner:
         return ranked
 
 
-def _contiguous_slices(count: int, parts: int) -> list[slice]:
-    """Partition ``range(count)`` into at most ``parts`` contiguous slices.
-
-    The split is deterministic and near-even (the first ``count % parts``
-    slices get one extra element); empty slices are dropped, so fewer than
-    ``parts`` slices come back when ``count < parts``.
-    """
-    used = min(parts, count)
-    if used <= 0:
-        return []
-    base, extra = divmod(count, used)
-    slices: list[slice] = []
-    start = 0
-    for i in range(used):
-        size = base + (1 if i < extra else 0)
-        slices.append(slice(start, start + size))
-        start += size
-    return slices
-
-
 class VectorizedRunner:
     """Advances N independent replicas in lockstep, fusing framework work.
 
@@ -642,17 +620,6 @@ class VectorizedRunner:
     Timing fields are wall-clock noise throughout the determinism layer;
     compare throughput via total run time (as ``bench_endtoend``'s
     multi-replica section does), never via these per-replica means.
-
-    ``replica_threads=T`` splits each round's fused work into T contiguous
-    replica groups and runs the groups' stacked forwards/train steps on a
-    thread pool (numpy releases the GIL inside BLAS), with the round
-    boundary as the barrier.  Every replica stays in exactly one group per
-    round and each group's lockstep call is bit-identical per replica to
-    the serial call it replaces, so results are float-identical to
-    ``replica_threads=1``.  The requested count is clamped by
-    :func:`repro.nn.threads.budgeted_workers` against the machine's thread
-    budget composed with the active BLAS thread setting — ``shards ×
-    replica_threads × blas_threads`` never oversubscribes the box.
     """
 
     def __init__(
@@ -660,15 +627,11 @@ class VectorizedRunner:
         replicas: Sequence[tuple],
         config: RunnerConfig | None = None,
         resume: bool = False,
-        replica_threads: int = 1,
     ) -> None:
         if not replicas:
             raise ValueError("VectorizedRunner requires at least one replica")
-        if replica_threads < 1:
-            raise ValueError(f"replica_threads must be >= 1, got {replica_threads}")
         self.config = config if config is not None else RunnerConfig()
         self.resume = resume
-        self.replica_threads = replica_threads
         self._replicas: list[tuple[CrowdDataset, ArrangementPolicy, Path | None]] = []
         for replica in replicas:
             if len(replica) == 2:
@@ -682,15 +645,6 @@ class VectorizedRunner:
     def policies(self) -> list[ArrangementPolicy]:
         return [policy for _, policy, _ in self._replicas]
 
-    def _effective_threads(self) -> int:
-        """The usable thread count: the request, budget-clamped (warns)."""
-        threads = min(self.replica_threads, len(self._replicas))
-        if threads <= 1:
-            return 1
-        return budgeted_workers(
-            threads, concurrent=num_threads() or 1, label="replica threads"
-        )
-
     def run(self) -> list[EvaluationResult]:
         """Run all replicas to completion, returning results in replica order."""
         loops = [
@@ -698,20 +652,6 @@ class VectorizedRunner:
             for dataset, policy, checkpoint_path in self._replicas
         ]
         policies = self.policies
-        lockstep = VectorizedPlatform(loops)
-        threads = self._effective_threads()
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-        def chunked(items: list, worker) -> list:
-            """Apply ``worker`` to contiguous chunks of ``items``, gathered in order.
-
-            The ``pool.map`` gather is the sync-point barrier: no chunk's
-            result is consumed until every chunk of the round has finished.
-            """
-            chunks = [items[piece] for piece in _contiguous_slices(len(items), threads)]
-            if pool is None or len(chunks) <= 1:
-                return [result for chunk in chunks for result in worker(chunk)]
-            return [result for part in pool.map(worker, chunks) for result in part]
 
         def answer_round(batch):
             responses: dict[int, object] = {}
@@ -722,9 +662,8 @@ class VectorizedRunner:
                 if isinstance(policies[index], TaskArrangementFramework)
             ]
             if fused_ranks:
-                rankings = chunked(
-                    [(policies[index], request[1]) for index, request in fused_ranks],
-                    decide_lockstep,
+                rankings = decide_lockstep(
+                    [(policies[index], request[1]) for index, request in fused_ranks]
                 )
                 for (index, _), ranking in zip(fused_ranks, rankings):
                     responses[index] = ranking
@@ -740,17 +679,11 @@ class VectorizedRunner:
                 and not policies[index].config.async_training
             ]
             if fused_observes:
-
-                def observe_chunk(chunk):
-                    observe_lockstep(chunk)
-                    return [None] * len(chunk)
-
-                chunked(
+                observe_lockstep(
                     [
                         (policies[index], request[1], request[2], request[3])
                         for index, request in fused_observes
-                    ],
-                    observe_chunk,
+                    ]
                 )
                 for index, _ in fused_observes:
                     responses[index] = None
@@ -761,11 +694,7 @@ class VectorizedRunner:
                     responses[index] = None
             return responses
 
-        try:
-            return lockstep.run(answer_round)  # type: ignore[return-value]
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        return VectorizedPlatform(loops).run(answer_round)  # type: ignore[return-value]
 
 
 def evaluate_policy(

@@ -32,7 +32,7 @@ _PRESERVED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class _GradMode(threading.local):
     """Per-thread autograd switch (mirrors torch.no_grad semantics).
 
-    Thread-local rather than a module global: the lockstep replica threads
+    Thread-local rather than a module global: ``run_spec``'s cell threads
     and the async trainer thread enter/exit ``no_grad`` concurrently with
     the decision thread, and a shared flag would let one thread's inference
     scope strand training on another thread with gradient tracking silently

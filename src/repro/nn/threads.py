@@ -14,6 +14,12 @@ and the :func:`blas_threads` context manager to scope a setting to one block
 — the benchmarks record the active setting in their environment blocks via
 :func:`thread_info`.
 
+One thread budget, :func:`max_threads` (``REPRO_MAX_THREADS``, else the
+CPUs this process may run on), is shared by every parallel axis: serve
+shards, sweep worker processes and ``run_spec``'s cell threads each give
+their units :func:`blas_share` BLAS threads apiece, so units × BLAS threads
+stays within the budget.
+
 The same ctypes route sets the one heap policy the train step needs.  A
 learn-shape step allocates tens of megabytes of temporaries and frees them
 all; by default glibc hands that memory back to the kernel after every step,
@@ -33,7 +39,6 @@ from __future__ import annotations
 import ctypes
 import os
 import platform
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -45,17 +50,15 @@ __all__ = [
     "blas_threads",
     "thread_info",
     "max_threads",
-    "budgeted_workers",
-    "shard_blas_threads",
+    "blas_share",
 ]
 
 #: Environment variable applied once at import (see :func:`_apply_env`).
 ENV_VAR = "REPRO_NUM_THREADS"
 
-#: Overrides the machine-wide thread budget used by :func:`budgeted_workers`
-#: (defaults to ``os.cpu_count()``).  The scale-out layer multiplies worker
-#: counts — serve shards × replica threads × BLAS threads — and clamps the
-#: product to this budget so composed parallelism never oversubscribes.
+#: Overrides the thread budget :func:`max_threads` reports (defaults to the
+#: process's CPU affinity mask), which :func:`blas_share` splits across the
+#: concurrent units of a parallel axis.
 BUDGET_ENV_VAR = "REPRO_MAX_THREADS"
 
 #: (set, get) symbol-name pairs of the BLAS runtimes numpy is known to bundle.
@@ -152,8 +155,9 @@ def blas_threads(count: int):
 
 
 def thread_info() -> dict:
-    """What the benchmarks record: BLAS controllability and setting, heap pad.
+    """What the benchmarks record: BLAS controllability and setting, budget, heap pad.
 
+    ``budget`` is the :func:`max_threads` budget the run was granted;
     ``heap_top_pad`` is the glibc top pad in bytes applied at import, or
     None when the process runs without it.
     """
@@ -162,77 +166,53 @@ def thread_info() -> dict:
         "blas_threads": num_threads(),
         "env": os.environ.get(ENV_VAR),
         "cpu_count": os.cpu_count(),
+        "budget": max_threads(),
         "heap_top_pad": _HEAP_TOP_PAD_APPLIED,
     }
 
 
-def max_threads() -> int:
-    """The machine-wide thread budget the scale-out knobs share.
+def _env_count(name: str) -> int | None:
+    """A positive integer environment setting, or None when unset or invalid."""
+    try:
+        count = int(os.environ.get(name, ""))
+    except ValueError:
+        return None
+    return count if count > 0 else None
 
-    ``REPRO_MAX_THREADS`` (a positive integer) overrides; otherwise
-    ``os.cpu_count()`` (at least 1).  Invalid override values are ignored,
-    matching :func:`_apply_env`'s lenient treatment of ``REPRO_NUM_THREADS``.
+
+def max_threads() -> int:
+    """The thread budget every parallel axis shares.
+
+    ``REPRO_MAX_THREADS`` (a positive integer) overrides; otherwise the
+    number of CPUs in this process's affinity mask where the platform
+    reports one, else ``os.cpu_count()`` (at least 1).  Invalid override
+    values are ignored, matching :func:`_apply_env`'s lenient treatment of
+    ``REPRO_NUM_THREADS``.
     """
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw:
-        try:
-            count = int(raw)
-        except ValueError:
-            count = 0
-        if count > 0:
-            return count
+    budget = _env_count(BUDGET_ENV_VAR)
+    if budget is not None:
+        return budget
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
 
 
-def budgeted_workers(requested: int, concurrent: int = 1, label: str = "workers") -> int:
-    """Clamp a worker count so composed parallelism respects the thread budget.
+def blas_share(units: int) -> int:
+    """BLAS threads each of ``units`` concurrent workers may use.
 
-    ``requested`` workers each running alongside ``concurrent - 1`` sibling
-    units (e.g. replica threads × BLAS threads per thread, or shards × BLAS
-    threads per shard) would occupy ``requested × concurrent`` cores.  When
-    that product exceeds :func:`max_threads` the request is clamped with a
-    warning — oversubscription turns BLAS fan-out into scheduler thrash —
-    but never below 1.
+    An explicitly set ``REPRO_NUM_THREADS`` wins; otherwise the budget is
+    split evenly, ``max(1, max_threads() // units)``.
     """
-    if requested < 1:
-        raise ValueError(f"{label} must be >= 1, got {requested}")
-    if concurrent < 1:
-        raise ValueError(f"concurrent units must be >= 1, got {concurrent}")
-    budget = max_threads()
-    if requested * concurrent <= budget:
-        return requested
-    allowed = max(1, budget // concurrent)
-    warnings.warn(
-        f"requested {requested} {label} x {concurrent} concurrent thread(s) "
-        f"exceeds the thread budget of {budget} "
-        f"(os.cpu_count / {BUDGET_ENV_VAR}); clamping to {allowed}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return allowed
-
-
-def shard_blas_threads(shards: int) -> int:
-    """BLAS threads each of ``shards`` concurrent processes may use.
-
-    The sharded serve front-end exports this as ``REPRO_NUM_THREADS`` for its
-    worker processes so ``shards × blas_threads`` stays within the budget.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return max(1, max_threads() // shards)
+    if units < 1:
+        raise ValueError(f"units must be >= 1, got {units}")
+    pinned = _env_count(ENV_VAR)
+    return pinned if pinned is not None else max(1, max_threads() // units)
 
 
 def _apply_env() -> None:
     """Honour ``REPRO_NUM_THREADS`` once at import (invalid values ignored)."""
-    raw = os.environ.get(ENV_VAR)
-    if not raw:
-        return
-    try:
-        count = int(raw)
-    except ValueError:
-        return
-    if count > 0:
+    count = _env_count(ENV_VAR)
+    if count is not None:
         set_num_threads(count)
 
 

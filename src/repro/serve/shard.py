@@ -31,9 +31,9 @@ sequence — so a K-shard deployment drains a byte-identical state tree to a
 single-process server fed the same events.
 
 Thread budget: each worker process exports ``REPRO_NUM_THREADS =
-max_threads() // K`` (see :func:`repro.nn.threads.shard_blas_threads`)
-unless the operator pinned the knob, so ``shards × BLAS threads`` never
-oversubscribes the machine.
+max_threads() // K`` (see :func:`repro.nn.threads.blas_share`) unless the
+operator pinned the knob, so ``shards × BLAS threads`` never oversubscribes
+the machine.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from pathlib import Path
 
 from ..api.registry import registry_payload
 from ..nn.threads import ENV_VAR as THREADS_ENV_VAR
-from ..nn.threads import shard_blas_threads
+from ..nn.threads import blas_share
 from .protocol import decode_line, encode_line, error_response
 from .server import checkpoint_phases
 from .spec import ServeSpec, TenantSpec
@@ -213,7 +213,7 @@ class ShardedFrontend:
             )
         # Split the BLAS thread budget across the shard processes unless the
         # operator pinned it explicitly (see repro.nn.threads).
-        env.setdefault(THREADS_ENV_VAR, str(shard_blas_threads(self.shards)))
+        env[THREADS_ENV_VAR] = str(blas_share(self.shards))
         return env
 
     async def _spawn(self, worker: _Worker) -> None:

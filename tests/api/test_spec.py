@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.api import DatasetSpec, ExperimentSpec, PolicySpec, run_spec
-from repro.eval import RunnerConfig
+from repro.api import spec as spec_module
+from repro.eval import RunnerConfig, SimulationRunner, VectorizedRunner
 from repro.eval.experiments import (
     ExperimentScale,
     balance_spec,
@@ -147,6 +148,39 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="duplicate result label"):
             run_spec(spec)
 
+    @pytest.mark.parametrize(
+        "fan_out", [{"cell_threads": 2}, {"vectorize": 2}], ids=["cell_threads", "vectorize"]
+    )
+    def test_duplicate_labels_raise_before_any_run(self, fan_out, monkeypatch):
+        started: list[str] = []
+        monkeypatch.setattr(SimulationRunner, "run", lambda *a, **k: started.append("run"))
+        monkeypatch.setattr(VectorizedRunner, "run", lambda *a, **k: started.append("run"))
+        spec = tiny_spec()
+        spec.policies = [PolicySpec("random", {"seed": 0}), PolicySpec("random", {"seed": 1})]
+        with pytest.raises(ValueError, match="duplicate result label"):
+            run_spec(spec, **fan_out)
+        assert started == []
+
+    def test_serial_runs_build_each_policy_after_the_previous_run(self, monkeypatch):
+        # At most one trained framework is resident at a time.
+        events: list[str] = []
+        build_policy = spec_module.build_policy
+        run = SimulationRunner.run
+
+        def recording_build(name, dataset, **kwargs):
+            events.append(f"build {name}")
+            return build_policy(name, dataset, **kwargs)
+
+        def recording_run(self, policy, *args, **kwargs):
+            result = run(self, policy, *args, **kwargs)
+            events.append(f"ran {policy.name}")
+            return result
+
+        monkeypatch.setattr(spec_module, "build_policy", recording_build)
+        monkeypatch.setattr(SimulationRunner, "run", recording_run)
+        run_spec(tiny_spec())
+        assert events == ["build random", "ran Random", "build greedy-cosine", "ran Greedy CS"]
+
     def test_checkpoint_slug_collisions_are_rejected(self, tmp_path):
         # Distinct labels that sanitize to the same filename must not
         # silently overwrite each other's checkpoints.
@@ -163,3 +197,37 @@ class TestRunSpec:
         dataset = spec.dataset.build()
         results = run_spec(spec, dataset=dataset)
         assert set(results) == {"Random", "Greedy CS"}
+
+
+class TestPolicyJobs:
+    """``_policy_jobs``: each ``(label, policy, checkpoint path)``, built on demand."""
+
+    def test_builds_one_policy_per_item(self, monkeypatch):
+        built: list[str] = []
+        build_policy = spec_module.build_policy
+
+        def counting_build(name, dataset, **kwargs):
+            built.append(name)
+            return build_policy(name, dataset, **kwargs)
+
+        monkeypatch.setattr(spec_module, "build_policy", counting_build)
+        spec = tiny_spec()
+        jobs = spec_module._policy_jobs(spec, spec.dataset.build(), None)
+        assert built == []
+        label, policy, path = next(jobs)
+        assert (label, policy.name, path) == ("Random", "Random", None)
+        assert built == ["random"]
+        assert [label for label, _, _ in jobs] == ["Greedy CS"]
+        assert built == ["random", "greedy-cosine"]
+
+    def test_checkpoint_paths_are_label_slugs_under_the_directory(self, tmp_path):
+        spec = tiny_spec()
+        spec.policies = [
+            PolicySpec("random", {"seed": 0}, label="seed 0/a"),
+            PolicySpec("random", {"seed": 1}, label="seed-1"),
+        ]
+        jobs = spec_module._policy_jobs(spec, spec.dataset.build(), tmp_path)
+        assert [(label, path) for label, _, path in jobs] == [
+            ("seed 0/a", tmp_path / "seed-0-a.npz"),
+            ("seed-1", tmp_path / "seed-1.npz"),
+        ]

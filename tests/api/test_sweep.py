@@ -20,8 +20,10 @@ from repro.api import (
     format_sweep_table,
     run_sweep,
 )
+from repro.api.sweep import _worker_pool
 from repro.eval import RunnerConfig
 from repro.eval.experiments import ExperimentScale, balance_sweep_spec, density_sweep_spec
+from repro.nn import threads
 
 
 def cheap_base(max_arrivals: int = 25) -> ExperimentSpec:
@@ -234,6 +236,28 @@ class TestSweepRunner:
         assert "random.seed=0" in table
         assert "±" in table
         assert "Greedy CS" in table
+
+
+class TestSweepWorkerThreads:
+    """Each process of the ``workers`` pool starts with its share of the budget."""
+
+    @pytest.fixture(autouse=True)
+    def budget_of_two(self, monkeypatch):
+        if threads.num_threads() is None:
+            pytest.skip("BLAS runtime not controllable on this numpy")
+        monkeypatch.setenv(threads.BUDGET_ENV_VAR, "2")
+        monkeypatch.delenv(threads.ENV_VAR, raising=False)
+
+    def worker_blas_threads(self) -> list:
+        with _worker_pool(2) as pool:
+            return pool.starmap(threads.num_threads, [()] * 2)
+
+    def test_two_workers_split_a_budget_of_two(self):
+        assert self.worker_blas_threads() == [1, 1]
+
+    def test_explicit_blas_setting_wins(self, monkeypatch):
+        monkeypatch.setenv(threads.ENV_VAR, "2")
+        assert self.worker_blas_threads() == [2, 2]
 
 
 class TestSweepDatasetCache:

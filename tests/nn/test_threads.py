@@ -7,6 +7,7 @@ set/get/context-manager round trips run for real; the no-op contract is
 tested by stubbing resolution away.
 """
 
+import os
 import platform
 
 import pytest
@@ -46,7 +47,10 @@ class TestControl:
 
     def test_thread_info_shape(self):
         info = threads.thread_info()
-        assert set(info) == {"controllable", "blas_threads", "env", "cpu_count", "heap_top_pad"}
+        assert set(info) == {
+            "controllable", "blas_threads", "env", "cpu_count", "budget", "heap_top_pad"
+        }
+        assert info["budget"] == threads.max_threads()
         assert isinstance(info["controllable"], bool)
         if info["controllable"]:
             assert isinstance(info["blas_threads"], int)
@@ -91,49 +95,73 @@ class TestUncontrollableFallback:
 
 
 class TestThreadBudget:
-    """The shared scale-out budget: shards × replicas × BLAS never oversubscribes."""
+    """One budget, split by :func:`blas_share` at every parallel axis."""
+
+    def test_max_threads_defaults_to_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv(threads.BUDGET_ENV_VAR, raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            assert threads.max_threads() == len(os.sched_getaffinity(0))
+        else:
+            assert threads.max_threads() == (os.cpu_count() or 1)
+
+    def test_max_threads_follows_a_one_core_mask(self, monkeypatch):
+        monkeypatch.delenv(threads.BUDGET_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert threads.max_threads() == 1
+        assert threads.thread_info()["budget"] == 1
 
     def test_max_threads_defaults_to_cpu_count(self, monkeypatch):
+        # Where the platform reports no affinity mask.
         monkeypatch.delenv(threads.BUDGET_ENV_VAR, raising=False)
-        import os
-
-        assert threads.max_threads() == (os.cpu_count() or 1)
+        monkeypatch.setattr(threads.os, "cpu_count", lambda: 8)
+        monkeypatch.delattr(threads.os, "sched_getaffinity", raising=False)
+        assert threads.max_threads() == 8
 
     def test_budget_env_overrides(self, monkeypatch):
         monkeypatch.setenv(threads.BUDGET_ENV_VAR, "12")
         assert threads.max_threads() == 12
 
     def test_invalid_budget_env_is_ignored(self, monkeypatch):
+        monkeypatch.delenv(threads.BUDGET_ENV_VAR, raising=False)
+        default = threads.max_threads()
         for bad in ("zero", "-3", "0", ""):
             monkeypatch.setenv(threads.BUDGET_ENV_VAR, bad)
-            import os
+            assert threads.max_threads() == default
 
-            assert threads.max_threads() == (os.cpu_count() or 1)
-
-    def test_budgeted_workers_passes_within_budget(self, monkeypatch):
+    def test_blas_share_splits_the_budget(self, monkeypatch):
+        monkeypatch.delenv(threads.ENV_VAR, raising=False)
         monkeypatch.setenv(threads.BUDGET_ENV_VAR, "8")
-        assert threads.budgeted_workers(4, concurrent=2) == 4
+        assert threads.blas_share(1) == 8
+        assert threads.blas_share(2) == 4
+        assert threads.blas_share(3) == 2
+        assert threads.blas_share(16) == 1  # floor at one thread
+        with pytest.raises(ValueError, match="units"):
+            threads.blas_share(0)
 
-    def test_budgeted_workers_clamps_with_warning(self, monkeypatch):
-        monkeypatch.setenv(threads.BUDGET_ENV_VAR, "4")
-        with pytest.warns(RuntimeWarning, match="thread budget"):
-            assert threads.budgeted_workers(8, concurrent=2, label="replica threads") == 2
+    def test_shard_blas_threads_splits_the_budget(self, monkeypatch, tmp_path):
+        """Each serve shard process is launched with its share of the budget."""
+        from repro.serve.shard import ShardedFrontend
+        from tests.serve.test_sharding import _spec_with_tenants
 
-    def test_budgeted_workers_never_clamps_below_one(self, monkeypatch):
-        monkeypatch.setenv(threads.BUDGET_ENV_VAR, "1")
-        with pytest.warns(RuntimeWarning):
-            assert threads.budgeted_workers(4, concurrent=3) == 1
+        spec = _spec_with_tenants(["a", "b", "c", "d"])
 
-    def test_budgeted_workers_rejects_invalid_arguments(self):
-        with pytest.raises(ValueError, match="workers"):
-            threads.budgeted_workers(0)
-        with pytest.raises(ValueError, match="concurrent"):
-            threads.budgeted_workers(2, concurrent=0)
+        def shard_blas_threads(shards: int) -> str:
+            frontend = ShardedFrontend(spec, shards, tmp_path / f"shards-{shards}")
+            return frontend._worker_env()[threads.ENV_VAR]
 
-    def test_shard_blas_threads_splits_the_budget(self, monkeypatch):
+        monkeypatch.delenv(threads.ENV_VAR, raising=False)
         monkeypatch.setenv(threads.BUDGET_ENV_VAR, "8")
-        assert threads.shard_blas_threads(2) == 4
-        assert threads.shard_blas_threads(3) == 2
-        assert threads.shard_blas_threads(16) == 1  # floor at one thread
-        with pytest.raises(ValueError, match="shards"):
-            threads.shard_blas_threads(0)
+        assert shard_blas_threads(2) == "4"
+        assert shard_blas_threads(4) == "2"
+        monkeypatch.setenv(threads.BUDGET_ENV_VAR, "2")
+        assert shard_blas_threads(4) == "1"  # floor at one thread
+        monkeypatch.setenv(threads.ENV_VAR, "3")  # the operator's pin wins
+        assert shard_blas_threads(2) == "3"
+
+    def test_explicit_blas_setting_wins(self, monkeypatch):
+        monkeypatch.setenv(threads.BUDGET_ENV_VAR, "8")
+        monkeypatch.setenv(threads.ENV_VAR, "3")
+        assert threads.blas_share(2) == 3
+        monkeypatch.setenv(threads.ENV_VAR, "not-a-number")
+        assert threads.blas_share(2) == 4
