@@ -67,6 +67,10 @@ class BenchConfig:
     pool_max: int = 6
     #: Future-state branch counts each transition draws from, uniformly.
     branches: tuple[int, ...] = (2, 3, 4)
+    #: Transitions per stored state, drawn uniformly: the framework stores
+    #: one feedback's completed and skipped tasks as sibling transitions over
+    #: one ``state`` object and one ``future_states`` list.
+    siblings: tuple[int, ...] = (1,)
     forward_states: int = 64
     tree_capacity: int = 1024
     tree_updates: int = 512
@@ -99,8 +103,10 @@ class BenchConfig:
         A traced ``perfbench/run.py --workload learn`` run reads 15.2 rows
         per state and 144.1 non-empty branches per step; here states hold
         10-20 rows (mean 15) and transitions 2 or 3 branches (mean 2.25,
-        144 per batch of 64).  Five warm-up steps reach the steady state
-        the fault count is read in.
+        144 per batch of 64).  After a 60-arrival learn run the memory held
+        221 transitions over 108 states: 15 states with one transition, 73
+        with two and 20 with three, which ``siblings`` draws in proportion.
+        Five warm-up steps reach the steady state the fault count is read in.
         """
         return cls(
             hidden_dim=64,
@@ -108,6 +114,7 @@ class BenchConfig:
             pool_min=10,
             pool_max=20,
             branches=(2, 2, 2, 3),
+            siblings=(1,) * 15 + (2,) * 73 + (3,) * 20,
             warmup=5,
             repeats=10,
         )
@@ -140,7 +147,11 @@ def random_state(schema, transformer, num_tasks: int, seed: int):
 
 
 def build_learner(config: BenchConfig, schema, transformer, dtype: str = "float64"):
-    """A learner plus a filled prioritized memory with branchy transitions."""
+    """A learner plus a prioritized memory of ``memory_size`` branchy transitions.
+
+    Siblings of one state take its next tasks as actions (skipped tasks,
+    reward 0) and share its ``state`` and ``future_states`` objects.
+    """
     network = SetQNetwork(
         transformer.row_dim,
         hidden_dim=config.hidden_dim,
@@ -153,7 +164,8 @@ def build_learner(config: BenchConfig, schema, transformer, dtype: str = "float6
     )
     memory = PrioritizedReplayMemory(capacity=1_000, seed=7)
     rng = np.random.default_rng(1)
-    for i in range(config.memory_size):
+    i = 0
+    while len(memory) < config.memory_size:
         state = random_state(
             schema, transformer, int(rng.integers(config.pool_min, config.pool_max + 1)), 100 + i
         )
@@ -170,14 +182,19 @@ def build_learner(config: BenchConfig, schema, transformer, dtype: str = "float6
             )
             for b in range(branches)
         ]
-        memory.push(
-            Transition(
-                state=state,
-                action_index=int(rng.integers(0, state.num_tasks)),
-                reward=float(rng.random()),
-                future_states=futures,
+        action = int(rng.integers(0, state.num_tasks))
+        reward = float(rng.random())
+        siblings = min(int(rng.choice(config.siblings)), config.memory_size - len(memory))
+        for k in range(siblings):
+            memory.push(
+                Transition(
+                    state=state,
+                    action_index=(action + k) % state.num_tasks,
+                    reward=reward if k == 0 else 0.0,
+                    future_states=futures,
+                )
             )
-        )
+        i += 1
     return learner, memory
 
 
@@ -253,6 +270,7 @@ def bench_train_step_learn(schema, transformer) -> dict:
             "batch_size": config.batch_size,
             "rows": [config.pool_min, config.pool_max],
             "branches": list(config.branches),
+            "siblings": {str(n): config.siblings.count(n) for n in sorted(set(config.siblings))},
         },
     }
 

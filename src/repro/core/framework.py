@@ -49,7 +49,12 @@ __all__ = [
 #: merged into in_proj_weight/in_proj_bias, which also changes the
 #: optimiser's buffer count): a /1 checkpoint now fails the format check
 #: with a clear error instead of a confusing parameter-mismatch mid-load.
-CHECKPOINT_FORMAT = "repro.framework/2"
+#: Bumped to /3 when replay memories started packing each distinct state
+#: object once, referenced by index, so that sibling transitions still
+#: share their states after a restore (see ``replay._pack_transitions``);
+#: builds that only read /2 reject it.  /2 checkpoints still load, without
+#: that sharing.
+CHECKPOINT_FORMAT = "repro.framework/3"
 
 #: Per-format config migrations: each entry upgrades the *config tree* of a
 #: checkpoint written at that format to the current :class:`FrameworkConfig`
@@ -59,6 +64,7 @@ CHECKPOINT_FORMAT = "repro.framework/2"
 #: loading as the framework grows new knobs.  Truly unknown keys (typos,
 #: removed fields without a rename rule) are still rejected loudly.
 _CONFIG_MIGRATIONS: dict[str, list] = {
+    "repro.framework/2": [],
     CHECKPOINT_FORMAT: [],
 }
 

@@ -25,7 +25,7 @@ import numpy as np
 from ..nn import Adam, Tensor, no_grad
 from .qnetwork import SetQNetwork
 from .replay import PrioritizedReplayMemory, ReplayMemory, Transition
-from .state import StateMatrix
+from .state import StateMatrix, distinct_states
 
 __all__ = ["DoubleDQNLearner", "TargetBranches", "TrainStepReport"]
 
@@ -157,8 +157,15 @@ class DoubleDQNLearner:
         Q-vectors are additionally memoised on the transition (the target
         network is frozen between hard syncs and ``future_states`` is
         immutable), so in steady state only branches that have never been
-        seen since the last sync cost a target forward.  Matches the
-        per-transition reference in ``tests/core/reference.py`` to float
+        seen since the last sync cost a target forward.
+
+        Both forwards score each distinct branch object once
+        (:func:`~repro.core.state.distinct_states`): sibling transitions of
+        one feedback share their ``future_states``, so a batch repeats
+        branch states.  Dropping the repeats only shrinks the GEMM row
+        count, which leaves every value bit-identical (M-invariance, pinned
+        for M >= 2 by ``tests/core/test_stacked_equivalence.py``).  Matches
+        the per-transition reference in ``tests/core/reference.py`` to float
         tolerance.
         """
         branches = TargetBranches.collect(self, transitions)
@@ -166,9 +173,10 @@ class DoubleDQNLearner:
             return branches.rewards
         uncached = branches.uncached()
         if uncached:
-            fresh = self.target.forward_batch([branches.states[j] for j in uncached]).numpy()
-            branches.memoise(uncached, fresh)
-        return branches.targets(self.online.forward_batch(branches.states).numpy())
+            unique, inverse = distinct_states([branches.states[j] for j in uncached])
+            branches.memoise(uncached, self.target.forward_batch(unique).numpy()[inverse])
+        unique, inverse = distinct_states(branches.states)
+        return branches.targets(self.online.forward_batch(unique).numpy()[inverse])
 
     # ------------------------------------------------------------------ #
     def train_step(
@@ -180,9 +188,12 @@ class DoubleDQNLearner:
         forwards (:meth:`td_targets_batch`) and all predictions plus the
         weighted loss form **one** autograd graph over a padded
         ``(B, rows, dim)`` mega-batch, instead of ``O(batch_size)`` separate
-        graphs.  Numerically it matches the per-sample reference in
-        ``tests/core/reference.py`` (same RNG draws, same targets to float
-        tolerance).
+        graphs.  ``B`` counts distinct state objects, not transitions:
+        siblings of one feedback share their ``state``, so each distinct
+        state is scored once and every transition gathers its
+        ``(state, action)`` value from that row.  Numerically it matches the
+        per-sample reference in ``tests/core/reference.py`` (same RNG draws,
+        same targets to float tolerance).
 
         Returns ``None`` when the memory is still empty.
         """
@@ -210,9 +221,10 @@ class DoubleDQNLearner:
         if targets is None:
             targets = self.td_targets_batch(transitions)
 
-        values = self.online.forward_batch([t.state for t in transitions])
+        unique, inverse = distinct_states([t.state for t in transitions])
+        values = self.online.forward_batch(unique)
         actions = np.array([t.action_index for t in transitions], dtype=np.int64)
-        stacked = values[np.arange(len(transitions)), actions]
+        stacked = values[inverse, actions]
 
         # Targets and IS weights join the loss graph in the network's compute
         # dtype, so a float32 network never silently promotes back to float64.

@@ -109,14 +109,18 @@ def _linear(x, params: Mapping, prefix: str):
     The batch and row axes are flattened into the GEMM row axis.  The
     single-column value head is the exception: it keeps one
     ``(rows, K) @ (K, 1)`` product per batch item, so each row's bits never
-    depend on the batch size (see ``nn.Linear.forward``).
+    depend on the batch size (see ``nn.Linear.forward``).  The bias add is
+    in place for arrays; for a tensor ``+=`` rebinds to a graph node.
     """
     weight = params[f"{prefix}.weight"]
     bias = params[f"{prefix}.bias"]
     n, in_features, out_features = weight.shape
     if out_features == 1:
-        return x @ weight.reshape((n, 1, in_features, 1)) + bias.reshape((n, 1, 1, 1))
-    out = x.reshape((n, -1, in_features)) @ weight + bias.reshape((n, 1, out_features))
+        out = x @ weight.reshape((n, 1, in_features, 1))
+        out += bias.reshape((n, 1, 1, 1))
+        return out
+    out = x.reshape((n, -1, in_features)) @ weight
+    out += bias.reshape((n, 1, out_features))
     return out.reshape(x.shape[:-1] + (out_features,))
 
 
@@ -125,7 +129,8 @@ def _attention(x, params: Mapping, prefix: str, mask: np.ndarray | None, num_hea
     n, _, _, embed_dim = x.shape
     weight = params[f"{prefix}.in_proj_weight"]
     bias = params[f"{prefix}.in_proj_bias"]
-    qkv = x.reshape((n, -1, embed_dim)) @ weight + bias.reshape((n, 1, 3 * embed_dim))
+    qkv = x.reshape((n, -1, embed_dim)) @ weight
+    qkv += bias.reshape((n, 1, 3 * embed_dim))
     merged = multi_head_attention(qkv, x.shape[:-1], num_heads, mask=mask)
     return _linear(merged, params, f"{prefix}.output_proj")
 
@@ -142,16 +147,19 @@ def q_forward(
     stacks, ``batch`` is ``(N, B, rows, input_dim)`` and ``mask`` (True =
     padding row) is ``(N, B, rows)``.  Returns ``(N, B, rows)``: a graph
     :class:`~repro.nn.Tensor` when the parameters are tensors, a plain array
-    when they are arrays.
+    when they are arrays.  The array path adds the residuals, and applies
+    every bias and ReLU, in place into buffers the forward itself allocated.
     """
     x = Tensor(batch) if isinstance(params["embed_1.linear.weight"], Tensor) else batch
     hidden = relu(_linear(x, params, "embed_1.linear"))
     hidden = relu(_linear(hidden, params, "embed_2.linear"))
     attended = _attention(hidden, params, "attention_1", mask, num_heads)
     # Residual connection + row-wise layer ("helps keeping the network stable").
-    hidden = relu(_linear(attended + hidden, params, "post_attention.linear"))
-    hidden = _attention(hidden, params, "attention_2", mask, num_heads) + hidden
-    values = _linear(hidden, params, "value_head.linear")
+    attended += hidden
+    hidden = relu(_linear(attended, params, "post_attention.linear"))
+    attended = _attention(hidden, params, "attention_2", mask, num_heads)
+    attended += hidden
+    values = _linear(attended, params, "value_head.linear")
     return values.reshape(values.shape[:-1])
 
 

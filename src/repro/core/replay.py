@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .state import StateMatrix, pack_state_matrices, unpack_state_matrices
+from .state import StateMatrix, distinct_states, pack_state_matrices, unpack_state_matrices
 
 __all__ = [
     "Transition",
@@ -28,22 +28,31 @@ __all__ = [
 def _pack_transitions(transitions: list[Transition]) -> dict:
     """Encode transitions (including their future-state branches) as arrays.
 
-    The per-transition state plus every future-state branch are flattened into
-    one :func:`pack_state_matrices` block; ``future_counts`` records how many
-    branches belong to each transition.  Target-network caches are deliberately
-    not persisted — they are a pure memoisation that the learner rebuilds.
+    Each distinct :class:`StateMatrix` object is packed once, into one
+    :func:`pack_state_matrices` block.  ``state_refs`` lists, transition by
+    transition, the block index of its ``state`` followed by those of its
+    branches; ``future_counts`` records how many branches belong to each
+    transition.  Sibling transitions of one feedback share their ``state``
+    and ``future_states`` objects, and the learner scores each distinct
+    object of a batch once (:func:`~repro.core.state.distinct_states`), so
+    a restored memory must share them too, or it would train on
+    differently shaped batches than the memory that kept running.
+    Target-network caches are deliberately not persisted — they are a pure
+    memoisation that the learner rebuilds.
     """
-    states: list[StateMatrix] = []
+    flat: list[StateMatrix] = []
     future_counts = np.zeros(len(transitions), dtype=np.int64)
     future_probs: list[float] = []
     for i, transition in enumerate(transitions):
-        states.append(transition.state)
+        flat.append(transition.state)
         future_counts[i] = len(transition.future_states)
         for probability, future_state in transition.future_states:
             future_probs.append(probability)
-            states.append(future_state)
+            flat.append(future_state)
+    states, state_refs = distinct_states(flat)
     return {
         "states": pack_state_matrices(states),
+        "state_refs": state_refs,
         "action_index": np.array([t.action_index for t in transitions], dtype=np.int64),
         "reward": np.array([t.reward for t in transitions], dtype=np.float64),
         "timestamp": np.array([t.timestamp for t in transitions], dtype=np.float64),
@@ -53,22 +62,33 @@ def _pack_transitions(transitions: list[Transition]) -> dict:
 
 
 def _unpack_transitions(packed: dict) -> list[Transition]:
-    """Inverse of :func:`_pack_transitions`."""
+    """Inverse of :func:`_pack_transitions`.
+
+    The ``repro.framework/2`` layout had no ``state_refs``: it stored every
+    state and branch in order, once per transition, and loads that way —
+    without the sharing the writer's memory had.
+    """
     states = unpack_state_matrices(packed["states"])
+    refs = packed.get("state_refs")
+    refs = np.arange(len(states)) if refs is None else np.asarray(refs, dtype=np.int64)
     action_index = np.asarray(packed["action_index"], dtype=np.int64)
     reward = np.asarray(packed["reward"], dtype=np.float64)
     timestamp = np.asarray(packed["timestamp"], dtype=np.float64)
     future_counts = np.asarray(packed["future_counts"], dtype=np.int64)
     future_probs = np.asarray(packed["future_probs"], dtype=np.float64)
+    if refs.size != action_index.size + int(future_counts.sum()) or (
+        refs.size and not 0 <= refs.min() <= refs.max() < len(states)
+    ):
+        raise ValueError("replay state references do not match the packed states")
     transitions: list[Transition] = []
     cursor = 0
     prob_cursor = 0
     for i in range(action_index.size):
-        state = states[cursor]
+        state = states[refs[cursor]]
         cursor += 1
         branches = []
         for _ in range(int(future_counts[i])):
-            branches.append((float(future_probs[prob_cursor]), states[cursor]))
+            branches.append((float(future_probs[prob_cursor]), states[refs[cursor]]))
             cursor += 1
             prob_cursor += 1
         transitions.append(

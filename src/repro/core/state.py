@@ -16,7 +16,13 @@ import numpy as np
 
 from ..crowd.features import FeatureSchema
 
-__all__ = ["StateMatrix", "StateTransformer", "pack_state_matrices", "unpack_state_matrices"]
+__all__ = [
+    "StateMatrix",
+    "StateTransformer",
+    "distinct_states",
+    "pack_state_matrices",
+    "unpack_state_matrices",
+]
 
 
 @dataclass
@@ -64,6 +70,27 @@ class StateMatrix:
         mask = np.ones(matrix.shape[0], dtype=bool)
         mask[: len(keep)] = False
         return StateMatrix(matrix=matrix, mask=mask, task_ids=[self.task_ids[i] for i in keep])
+
+
+def distinct_states(states: list[StateMatrix]) -> tuple[list[StateMatrix], np.ndarray]:
+    """The distinct objects among ``states``, in first-seen order, and where each entry went.
+
+    Returns ``(unique, inverse)`` with ``states[i] is unique[inverse[i]]``.
+    The key is object identity, not value: the framework stores every
+    transition of one feedback (the completed task plus up to
+    ``max_failed_transitions`` skipped ones) over one ``state`` object and
+    one ``future_states`` list, so a replay batch repeats those objects, and
+    scoring each distinct one once gives the same values for less work.
+    """
+    slots: dict[int, int] = {}
+    unique: list[StateMatrix] = []
+    inverse = np.empty(len(states), dtype=np.int64)
+    for i, state in enumerate(states):
+        slot = slots.setdefault(id(state), len(unique))
+        if slot == len(unique):
+            unique.append(state)
+        inverse[i] = slot
+    return unique, inverse
 
 
 def pack_state_matrices(states: list[StateMatrix]) -> dict[str, np.ndarray]:

@@ -41,7 +41,7 @@ from .framework import TaskArrangementFramework
 from .learner import DoubleDQNLearner, TargetBranches
 from .qnetwork import QScorer, pad_state_batch, q_forward, stack_parameters
 from .replay import Transition, sample_fused
-from .state import StateMatrix
+from .state import StateMatrix, distinct_states
 
 __all__ = [
     "decide_lockstep",
@@ -120,6 +120,8 @@ class _TrainJob:
     targets: np.ndarray | None = None
     batch: np.ndarray | None = None
     mask: np.ndarray | None = None
+    #: Row of ``batch`` (the padded distinct states) behind each transition.
+    inverse: np.ndarray | None = None
 
 
 def _uniform_state_shape(states: Sequence[StateMatrix]) -> tuple[int, int] | None:
@@ -166,9 +168,10 @@ def _compute_targets(jobs: Sequence[_TrainJob]) -> None:
     """Fill every job's ``targets``, fusing branch forwards across replicas.
 
     Runs the branch bookkeeping of :meth:`DoubleDQNLearner.td_targets_batch`
-    per job — including the per-transition target-network memoisation — but
-    routes the uncached target forwards and the online best-action forwards
-    of same-shaped jobs through one stacked call each.  Jobs whose branch
+    per job — including the per-transition target-network memoisation and
+    the scoring of each distinct branch object once — but routes the
+    uncached target forwards and the online best-action forwards of
+    same-shaped jobs through one stacked call each.  Jobs whose branch
     states are ragged (no common row shape) fall back to the serial method.
     """
     fusable: dict[tuple, list[tuple[_TrainJob, TargetBranches]]] = {}
@@ -188,24 +191,30 @@ def _compute_targets(jobs: Sequence[_TrainJob]) -> None:
             job, _ = group[0]
             job.targets = job.learner.td_targets_batch(job.transitions)
             continue
-        # Per-job cache probe, exactly as the serial method does it.
-        cold = [(branches, branches.uncached()) for _, branches in group]
-        cold = [(branches, uncached) for branches, uncached in cold if uncached]
+        # Per-job cache probe and deduplication, exactly as the serial method
+        # does them.
+        cold = []
+        for _, branches in group:
+            uncached = branches.uncached()
+            if uncached:
+                stale = distinct_states([branches.states[j] for j in uncached])
+                cold.append((branches, uncached, *stale))
+        warm = [distinct_states(branches.states) for _, branches in group]
         # One stacked inference forward serves both halves of the double-DQN
-        # target: the *target* networks on each job's uncached branches and
-        # the *online* networks on every branch (for the best-action argmax).
-        # Same-architecture networks stack regardless of which agent they
-        # belong to, so both halves ride one gufunc launch.
+        # target: the *target* networks on each job's distinct uncached
+        # branches and the *online* networks on each job's distinct branches
+        # (for the best-action argmax).  Same-architecture networks stack
+        # regardless of which agent they belong to, so both halves ride one
+        # gufunc launch.
         blocks = _padded_group_forward(
-            [branches.learner.target for branches, _ in cold]
+            [branches.learner.target for branches, *_ in cold]
             + [branches.learner.online for _, branches in group],
-            [[branches.states[j] for j in uncached] for branches, uncached in cold]
-            + [branches.states for _, branches in group],
+            [unique for _, _, unique, _ in cold] + [unique for unique, _ in warm],
         )
-        for (branches, uncached), fresh in zip(cold, blocks):
-            branches.memoise(uncached, fresh)
-        for (job, branches), online_values in zip(group, blocks[len(cold) :]):
-            job.targets = branches.targets(online_values)
+        for (branches, uncached, _, inverse), fresh in zip(cold, blocks):
+            branches.memoise(uncached, fresh[inverse])
+        for (job, branches), (_, inverse), online_values in zip(group, warm, blocks[len(cold) :]):
+            job.targets = branches.targets(online_values[inverse])
 
 
 def _fused_prediction_update(jobs: Sequence[_TrainJob]) -> None:
@@ -229,18 +238,17 @@ def _fused_prediction_update(jobs: Sequence[_TrainJob]) -> None:
 
     # One gather and one loss graph for the whole group.  Per replica this is
     # bit-identical to the serial ``(w * diff * diff).mean()`` chain: the
-    # advanced-index gather scatters exactly one contribution per (replica,
-    # transition), the elementwise ops act per element, and the axis-1
-    # mean reduces each replica's row with the same summation order as the
-    # serial 1-D mean.
+    # advanced-index gather scatters one contribution per (replica,
+    # transition), in transition order, into that replica's (distinct
+    # state, action) entries, exactly as the serial gather does; the
+    # elementwise ops act per element, and the axis-1 mean reduces each
+    # replica's row with the same summation order as the serial 1-D mean.
     count = len(jobs)
-    batch_size = len(jobs[0].transitions)
     actions = np.array(
         [[t.action_index for t in job.transitions] for job in jobs], dtype=np.int64
     )
-    gathered = values[
-        np.arange(count)[:, np.newaxis], np.arange(batch_size)[np.newaxis, :], actions
-    ]
+    inverse = np.stack([job.inverse for job in jobs])
+    gathered = values[np.arange(count)[:, np.newaxis], inverse, actions]
     weights = np.stack([np.asarray(job.weights, dtype=dtype) for job in jobs])
     targets = np.stack([np.asarray(job.targets, dtype=dtype) for job in jobs])
     diff = gathered - Tensor(targets)
@@ -272,8 +280,11 @@ def fused_train_steps(agents: Sequence[DQNAgent]) -> None:
     Semantically ``[agent.learner.train_step(agent.memory) for agent in
     agents]`` (plus the diagnostics bookkeeping of ``store_and_train``), with
     three fusion points: the uncached target forwards, the online
-    best-action forwards, and the prediction forward/backward.  Each agent's
-    numbers are bit-identical to its serial step.
+    best-action forwards, and the prediction forward/backward.  Like the
+    serial step, each job scores its distinct states once, so prediction
+    groups key on the deduplicated batch shape (and the transition count
+    the gather needs).  Each agent's numbers are bit-identical to its
+    serial step.
     """
     if not agents:
         return
@@ -297,14 +308,14 @@ def fused_train_steps(agents: Sequence[DQNAgent]) -> None:
 
     groups: dict[tuple, list[_TrainJob]] = {}
     for job in jobs:
-        states = [t.state for t in job.transitions]
+        states, job.inverse = distinct_states([t.state for t in job.transitions])
         shape = _uniform_state_shape(states)
         if shape is None:
             groups.setdefault(("serial", id(job)), []).append(job)
             continue
         job.batch, job.mask = pad_state_batch(states, dtype=job.learner.online.dtype)
         groups.setdefault(
-            (job.learner.online.signature, job.batch.shape), []
+            (job.learner.online.signature, job.batch.shape, len(job.transitions)), []
         ).append(job)
 
     for group in groups.values():

@@ -6,15 +6,17 @@ the autograd graph.  The attention path (:func:`relu`, :func:`masked_softmax`,
 :func:`unbind`, :func:`scaled_dot_product_attention` and
 :func:`multi_head_attention`) accepts either tensors or plain numpy arrays:
 tensors build the training graph, arrays run inference with no graph nodes,
-and both perform the same numpy calls in the same order, so their values
-are bit-identical.
+and both perform the same numpy operations in the same order, so their
+values are bit-identical.  The array path writes into buffers it owns where
+it can (:func:`relu` and :func:`masked_softmax` overwrite their array
+argument), which saves the graph-free forward a temporary per operation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, softmax_array
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "relu",
@@ -33,8 +35,11 @@ __all__ = [
 
 
 def relu(x):
-    """Element-wise rectified linear unit (tensor or array in, same type out)."""
-    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
+    """Element-wise rectified linear unit (tensor or array in, same type out).
+
+    An array argument is overwritten in place and returned.
+    """
+    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0, out=x)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -46,15 +51,19 @@ def masked_softmax(scores, mask: np.ndarray | None = None):
     """Softmax over the last axis, with masked (True) entries filled with -1e9 first.
 
     ``mask`` must already have the shape of ``scores``.  Tensor in, tensor
-    out; array in, array out.
+    out; array in, the same array out, overwritten in place with the values
+    :func:`~repro.nn.tensor.softmax_array` computes out of place.
     """
     if isinstance(scores, Tensor):
         if mask is not None:
             scores = scores.masked_fill(mask, -1e9)
         return scores.softmax(axis=-1)
     if mask is not None:
-        scores = np.where(mask, -1e9, scores)
-    return softmax_array(scores, axis=-1)
+        np.copyto(scores, -1e9, where=mask)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def unbind(x) -> list:
@@ -154,7 +163,8 @@ def scaled_dot_product_attention(queries, keys, values, mask: np.ndarray | None 
     d_k = queries.shape[-1]
     # The scale joins in the operands' dtype, so float32 stays float32.
     scale = np.asarray(1.0 / float(np.sqrt(d_k)), dtype=queries.dtype)
-    scores = (queries @ keys.swapaxes(-1, -2)) * scale
+    scores = queries @ keys.swapaxes(-1, -2)
+    scores *= scale  # in place for arrays; a graph node for tensors
     if mask is not None:
         # Broadcast across query rows (and any leading batch/head axes):
         # a trailing-True entry means that key column is padding everywhere.

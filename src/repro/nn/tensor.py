@@ -358,9 +358,11 @@ class Tensor:
         data = self.data - other.data
 
         def backward(grad: np.ndarray) -> None:
-            grad_self = _unbroadcast(grad, self.data.shape)
-            self._accumulate(grad_self, fresh=grad_self is not grad)
-            other._accumulate(_unbroadcast(-grad, other.data.shape), fresh=True)
+            if self.requires_grad:
+                grad_self = _unbroadcast(grad, self.data.shape)
+                self._accumulate(grad_self, fresh=grad_self is not grad)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-grad, other.data.shape), fresh=True)
 
         return self._make_child(data, (self, other), backward)
 
@@ -372,8 +374,12 @@ class Tensor:
         data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.data.shape), fresh=True)
-            other._accumulate(_unbroadcast(grad * self.data, other.data.shape), fresh=True)
+            # A constant operand (e.g. the attention scale) takes no gradient:
+            # skip its full-size product and reduction.
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * other.data, self.data.shape), fresh=True)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad * self.data, other.data.shape), fresh=True)
 
         return self._make_child(data, (self, other), backward)
 
@@ -384,11 +390,13 @@ class Tensor:
         data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.data.shape), fresh=True)
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
-                fresh=True,
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad / other.data, self.data.shape), fresh=True)
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
+                    fresh=True,
+                )
 
         return self._make_child(data, (self, other), backward)
 

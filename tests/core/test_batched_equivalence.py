@@ -6,6 +6,8 @@ performance change: every result has to match the per-sample reference path
 to float tolerance (≤ 1e-9), with the same RNG draws.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,36 @@ def build_learner_and_memory(schema, transformer, seed=7, count=60, max_branches
                 future_states=branches,
             )
         )
+    return learner, memory
+
+
+def build_learner_and_shared_memory(schema, transformer, seed=7, feedbacks=30):
+    """Like :func:`build_learner_and_memory`, but stored the way the framework stores.
+
+    Each feedback becomes one to three sibling transitions (the completed
+    task plus skipped ones) over one ``state`` object and one
+    ``future_states`` list.
+    """
+    learner, _ = build_learner_and_memory(schema, transformer, seed=seed, count=0)
+    memory = PrioritizedReplayMemory(capacity=200, seed=seed)
+    rng = np.random.default_rng(seed)
+    for i in range(feedbacks):
+        state = random_state(schema, transformer, int(rng.integers(3, 8)), 100 + i)
+        branches = [
+            (1.0 / 3, random_state(schema, transformer, int(rng.integers(0, 6)), 1000 + 10 * i + b))
+            for b in range(int(rng.integers(1, 4)))
+        ]
+        reward = float(rng.random())
+        actions = rng.permutation(state.num_tasks)[: int(rng.integers(1, 4))]
+        for k, action in enumerate(actions):
+            memory.push(
+                Transition(
+                    state=state,
+                    action_index=int(action),
+                    reward=reward if k == 0 else 0.0,
+                    future_states=branches,
+                )
+            )
     return learner, memory
 
 
@@ -161,11 +193,11 @@ class TestTrainStepEquivalence:
         np.testing.assert_allclose(targets_a, scalar_a, atol=TOL)
         np.testing.assert_allclose(targets_b, scalar_b, atol=TOL)
 
-    def test_train_step_matches_unbatched_reference(self, schema):
-        """Same RNG draws, same loss and same post-step parameters."""
-        transformer = StateTransformer(schema)
-        learner_a, memory_a = build_learner_and_memory(schema, transformer)
-        learner_b, memory_b = build_learner_and_memory(schema, transformer)
+    @staticmethod
+    def assert_steps_match_reference(build):
+        """Same RNG draws, same loss and same post-step parameters as the reference."""
+        learner_a, memory_a = build()
+        learner_b, memory_b = build()
         for step in range(6):  # crosses a target sync (interval 4)
             report_a = learner_a.train_step(memory_a)
             report_b = train_step_unbatched(learner_b, memory_b)
@@ -177,6 +209,52 @@ class TestTrainStepEquivalence:
         params_b = learner_b.online.state_dict()
         for name in params_a:
             np.testing.assert_allclose(params_a[name], params_b[name], atol=TOL)
+
+    def test_train_step_matches_unbatched_reference(self, schema):
+        transformer = StateTransformer(schema)
+        self.assert_steps_match_reference(lambda: build_learner_and_memory(schema, transformer))
+
+    def test_td_targets_batch_forwards_each_distinct_state_once(self, schema, monkeypatch):
+        """Siblings share branch objects: each is forwarded once, same bits as unshared."""
+        transformer = StateTransformer(schema)
+        learner, memory = build_learner_and_shared_memory(schema, transformer)
+        transitions, _, _ = memory.sample(16)
+        # Deep copies one by one: equal values, no object shared between them.
+        unshared = [copy.deepcopy(transition) for transition in transitions]
+        branches = [
+            state for t in transitions for _, state in t.future_states if state.num_tasks
+        ]
+        distinct = {id(state) for state in branches}
+        assert len(distinct) < len(branches), "the sample should repeat branch objects"
+
+        forwarded = []
+        forward_batch = SetQNetwork.forward_batch
+
+        def spy(network, states):
+            forwarded.append((network, len(states)))
+            return forward_batch(network, states)
+
+        monkeypatch.setattr(SetQNetwork, "forward_batch", spy)
+        shared_targets = learner.td_targets_batch(transitions)
+        assert forwarded == [(learner.target, len(distinct)), (learner.online, len(distinct))]
+
+        forwarded.clear()
+        unshared_targets = learner.td_targets_batch(unshared)
+        assert forwarded == [(learner.target, len(branches)), (learner.online, len(branches))]
+        assert np.array_equal(shared_targets, unshared_targets)
+        scalar = np.array([td_target(learner, t) for t in transitions])
+        np.testing.assert_allclose(shared_targets, scalar, atol=TOL)
+
+    def test_shared_state_train_step_matches_unbatched_reference(self, schema):
+        """Each distinct state is scored once; the step still matches the reference."""
+        transformer = StateTransformer(schema)
+        learner, memory = build_learner_and_shared_memory(schema, transformer)
+        # deepcopy keeps the memory's own sharing, so this is the first batch.
+        first, _, _ = copy.deepcopy(memory).sample(learner.batch_size)
+        assert len({id(t.state) for t in first}) < len(first), "expected shared states"
+        self.assert_steps_match_reference(
+            lambda: build_learner_and_shared_memory(schema, transformer)
+        )
 
     def test_train_step_gradients_match_reference(self, schema):
         """One step: parameter gradients agree before the optimizer update."""

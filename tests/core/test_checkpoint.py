@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.api import build_policy
-from repro.core import FrameworkConfig, TaskArrangementFramework
+from repro.core import (
+    FrameworkConfig,
+    TaskArrangementFramework,
+    pack_state_matrices,
+    unpack_state_matrices,
+)
 from repro.crowd.entities import MINUTES_PER_DAY
 from repro.crowd.platform import ArrivalContext, Feedback
 from repro.datasets import scalability_snapshot
@@ -40,8 +45,14 @@ def make_context(snapshot, timestamp: float) -> ArrivalContext:
     )
 
 
-def drive(framework, snapshot, start: float, steps: int) -> None:
-    """Feed ``steps`` synthetic arrivals; the completed task is the top rank."""
+def drive(framework, snapshot, start: float, steps: int, completed_rank: int = 0) -> None:
+    """Feed ``steps`` synthetic arrivals; the worker completes the task at ``completed_rank``.
+
+    Every task ranked above the completed one becomes a skipped transition
+    (up to ``max_failed_transitions``), so ``completed_rank=2`` stores three
+    transitions per arrival and agent, all over one ``state`` object and one
+    ``future_states`` list.
+    """
     _, worker, _, _ = snapshot
     for i in range(steps):
         context = make_context(snapshot, start + i * 7.0)
@@ -50,8 +61,8 @@ def drive(framework, snapshot, start: float, steps: int) -> None:
             timestamp=context.timestamp,
             worker_id=worker.worker_id,
             presented_task_ids=ranked,
-            completed_task_id=ranked[0],
-            completed_rank=0,
+            completed_task_id=ranked[completed_rank],
+            completed_rank=completed_rank,
             completion_reward=1.0,
             quality_gain=0.4,
             updated_worker_feature=context.worker_feature,
@@ -189,6 +200,74 @@ class TestFrameworkRoundTrip:
             TaskArrangementFramework.load(path)
 
 
+class TestSharedStateCheckpoints:
+    """Sibling transitions share their ``state`` and branch objects across a restore."""
+
+    def siblings_framework(self, snapshot) -> TaskArrangementFramework:
+        _, _, schema, _ = snapshot
+        framework = TaskArrangementFramework(
+            schema,
+            FrameworkConfig(hidden_dim=16, num_heads=2, batch_size=8, train_interval=1, seed=5),
+        )
+        drive(framework, snapshot, MINUTES_PER_DAY, 12, completed_rank=2)
+        return framework
+
+    def test_replay_round_trip_keeps_siblings_shared(self, snapshot, tmp_path):
+        framework = self.siblings_framework(snapshot)
+        packed = framework.agent_w.memory.state_dict()["transitions"]
+        original = framework.agent_w.memory._storage
+        distinct = {id(t.state) for t in original}
+        distinct |= {id(state) for t in original for _, state in t.future_states}
+        assert packed["states"]["rows"].size == len(distinct)
+
+        restored = TaskArrangementFramework.load(framework.save(tmp_path / "siblings.npz"))
+        for agent_name in ("agent_w", "agent_r"):
+            before = getattr(framework, agent_name).memory._storage
+            after = getattr(restored, agent_name).memory._storage
+            assert len(after) == len(before)
+            for first in range(0, len(after), 3):
+                group = after[first : first + 3]
+                assert group[0].state is group[1].state is group[2].state
+                for (_, a), (_, b) in zip(group[0].future_states, group[2].future_states):
+                    assert a is b
+            for a, b in zip(before, after):
+                assert a.action_index == b.action_index and a.reward == b.reward
+                np.testing.assert_array_equal(a.state.matrix, b.state.matrix)
+                assert [p for p, _ in a.future_states] == [p for p, _ in b.future_states]
+
+    def test_malformed_state_references_are_rejected(self, snapshot, tmp_path):
+        tree = self.siblings_framework(snapshot).checkpoint_tree()
+        packed = tree["state"]["agent_w"]["memory"]["transitions"]
+        packed["state_refs"] = packed["state_refs"] + packed["states"]["rows"].size
+        path = save_checkpoint(tree, tmp_path / "corrupt.npz")
+        with pytest.raises(ValueError, match="state references"):
+            TaskArrangementFramework.load(path)
+
+    def test_format_2_checkpoint_still_loads(self, snapshot, tmp_path):
+        """A /2 file packed every state once per transition, without ``state_refs``."""
+        framework = self.siblings_framework(snapshot)
+        tree = framework.checkpoint_tree()
+        tree["format"] = "repro.framework/2"
+        for agent_name in ("agent_w", "agent_r"):
+            packed = tree["state"][agent_name]["memory"]["transitions"]
+            states = unpack_state_matrices(packed["states"])
+            packed["states"] = pack_state_matrices([states[r] for r in packed.pop("state_refs")])
+        restored = TaskArrangementFramework.load(save_checkpoint(tree, tmp_path / "v2.npz"))
+
+        before = framework.agent_w.memory._storage
+        after = restored.agent_w.memory._storage
+        assert len(after) == len(before)
+        assert after[0].state is not after[1].state  # loads without the sharing
+        for a, b in zip(before, after):
+            assert a.action_index == b.action_index
+            np.testing.assert_array_equal(a.state.matrix, b.state.matrix)
+            for (_, state_a), (_, state_b) in zip(a.future_states, b.future_states):
+                np.testing.assert_array_equal(state_a.matrix, state_b.matrix)
+        assert_parameters_equal(framework.agent_w.network, restored.agent_w.network)
+        context = make_context(snapshot, MINUTES_PER_DAY + 5_000.0)
+        assert framework.rank_tasks(context) == restored.rank_tasks(context)
+
+
 #: All checkpointable registry variants (builder kwargs on top of the tiny
 #: framework config).  ``ddqn-checkpoint`` is the *consumer* of these files
 #: and is exercised in TestCheckpointRegistryEntry below.
@@ -215,17 +294,16 @@ class TestAllVariantsInterruptResume:
 
         return build_policy(name, schema, **TINY_FRAMEWORK, **extra)
 
-    @pytest.mark.parametrize("name,extra", FRAMEWORK_VARIANTS)
-    def test_interrupted_run_finishes_identically(self, snapshot, tmp_path, name, extra):
+    def assert_resume_is_exact(self, snapshot, tmp_path, name, extra, completed_rank=0):
         uninterrupted = self.variant(snapshot, name, extra)
-        drive(uninterrupted, snapshot, MINUTES_PER_DAY, 40)
+        drive(uninterrupted, snapshot, MINUTES_PER_DAY, 40, completed_rank)
 
         interrupted = self.variant(snapshot, name, extra)
-        drive(interrupted, snapshot, MINUTES_PER_DAY, 30)
+        drive(interrupted, snapshot, MINUTES_PER_DAY, 30, completed_rank)
         path = interrupted.save(tmp_path / f"{name}.npz")
         restored = TaskArrangementFramework.load(path)
         # Finish the exact arrivals the uninterrupted run saw after step 30.
-        drive(restored, snapshot, MINUTES_PER_DAY + 30 * 7.0, 10)
+        drive(restored, snapshot, MINUTES_PER_DAY + 30 * 7.0, 10, completed_rank)
 
         for agent_name in ("agent_w", "agent_r"):
             original = getattr(uninterrupted, agent_name)
@@ -240,6 +318,28 @@ class TestAllVariantsInterruptResume:
         assert restored.explorer._steps == uninterrupted.explorer._steps
         context = make_context(snapshot, MINUTES_PER_DAY + 40_000.0)
         assert uninterrupted.rank_tasks(context) == restored.rank_tasks(context)
+        return uninterrupted
+
+    @pytest.mark.parametrize("name,extra", FRAMEWORK_VARIANTS)
+    def test_interrupted_run_finishes_identically(self, snapshot, tmp_path, name, extra):
+        self.assert_resume_is_exact(snapshot, tmp_path, name, extra)
+
+    @pytest.mark.parametrize("name,extra", FRAMEWORK_VARIANTS)
+    def test_interrupted_run_with_shared_states_finishes_identically(
+        self, snapshot, tmp_path, name, extra
+    ):
+        """Completing the rank-2 task stores three sibling transitions per state.
+
+        The learner scores each distinct state object of a batch once, so the
+        restored memory must share states exactly as the running one does;
+        a checkpoint that stored each sibling's state separately would train
+        on differently shaped batches after the restore.
+        """
+        run = self.assert_resume_is_exact(snapshot, tmp_path, name, extra, completed_rank=2)
+        for agent in (run.agent_w, run.agent_r):
+            if agent is not None:
+                stored = agent.memory._storage
+                assert stored[0].state is stored[1].state is stored[2].state
 
     @pytest.mark.parametrize("name,extra", FRAMEWORK_VARIANTS)
     def test_registry_variants_support_checkpointing(self, snapshot, name, extra):

@@ -26,10 +26,12 @@ If any of these fail on a new platform, the vectorized runner's equality
 tests would fail with it — these isolate the root cause.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.core import FrameworkConfig, TaskArrangementFramework
+from repro.core import FrameworkConfig, TaskArrangementFramework, vectorized
 from repro.core.agent import AgentConfig, DQNAgent
 from repro.core.qnetwork import SetQNetwork, pad_state_batch, q_forward, stack_parameters
 from repro.core.replay import Transition
@@ -62,6 +64,22 @@ def make_transition(rng, rows, dim, branches=3):
         reward=float(rng.random()),
         future_states=future,
     )
+
+
+def make_siblings(rng, rows, dim, count, branches=3):
+    """``count`` transitions of one feedback: one ``state``, one ``future_states`` list."""
+    future = [(1.0 / branches, make_state(rng, rows, dim)) for _ in range(branches)]
+    state = make_state(rng, rows, dim, min_tasks=count)
+    reward = float(rng.random())
+    return [
+        Transition(
+            state=state,
+            action_index=int(action),
+            reward=reward if k == 0 else 0.0,
+            future_states=future,
+        )
+        for k, action in enumerate(rng.permutation(state.num_tasks)[:count])
+    ]
 
 
 class TestEnvironmentAssumptions:
@@ -275,7 +293,10 @@ class TestFusedTrainSteps:
             fused_train_steps(fused_agents)
             for agent in serial_agents:
                 agent.record_report(agent.learner.train_step(agent.memory))
+        self.assert_agents_equal(fused_agents, serial_agents)
 
+    @staticmethod
+    def assert_agents_equal(fused_agents, serial_agents):
         for fused_agent, serial_agent in zip(fused_agents, serial_agents):
             fused_state = fused_agent.learner.state_dict()
             serial_state = serial_agent.learner.state_dict()
@@ -288,8 +309,67 @@ class TestFusedTrainSteps:
             assert fused_agent.memory.rng.bit_generator.state == (
                 serial_agent.memory.rng.bit_generator.state
             )
+            np.testing.assert_array_equal(
+                fused_agent.memory._tree._tree, serial_agent.memory._tree._tree
+            )
             assert fused_agent.diagnostics.train_steps == serial_agent.diagnostics.train_steps
             assert fused_agent.diagnostics.losses == serial_agent.diagnostics.losses
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_shared_states_and_repeated_samples_stay_bitwise_serial(self, dtype, monkeypatch):
+        """Sibling transitions share a state and a future list; samples repeat.
+
+        Each job scores its distinct states once, so jobs fuse when their
+        deduplicated batches match, and the gather maps repeated states and
+        repeated samples back onto their rows exactly as the serial step does.
+        """
+
+        def build(seed):
+            rng = np.random.default_rng(seed)
+            agents = [
+                DQNAgent(
+                    13,
+                    AgentConfig(hidden_dim=16, num_heads=2, batch_size=6, seed=s, dtype=dtype),
+                )
+                for s in range(4)
+            ]
+            # The last memory holds fewer transitions than a batch: its jobs
+            # gather 5 transitions over as many distinct states as the
+            # others' 6, and must not fuse with them.
+            for agent, sizes in zip(agents, [(3, 3, 2)] * 3 + [(2, 2, 1)]):
+                for size in sizes:
+                    for transition in make_siblings(rng, 8, 13, size):
+                        agent.store(transition)
+                # One dominant priority: stratified sampling draws it repeatedly.
+                stored = len(agent.memory)
+                agent.memory.update_priorities(
+                    np.arange(stored), np.where(np.arange(stored) == 1, 50.0, 0.1)
+                )
+            return agents
+
+        fused_agents, serial_agents = build(12), build(12)
+        fused_groups = []
+        fused_update = vectorized._fused_prediction_update
+
+        def spy(jobs):
+            fused_groups.append([job.inverse.copy() for job in jobs])
+            fused_update(jobs)
+
+        monkeypatch.setattr(vectorized, "_fused_prediction_update", spy)
+        repeated = 0
+        for _ in range(3):
+            for agent in serial_agents:
+                _, indices, _ = copy.deepcopy(agent.memory).sample(agent.learner.batch_size)
+                repeated += len(set(indices.tolist())) < len(indices)
+                agent.record_report(agent.learner.train_step(agent.memory))
+            fused_train_steps(fused_agents)
+
+        assert repeated, "the dominant priority should repeat samples"
+        assert any(len(group) > 1 for group in fused_groups), "expected a fused group"
+        assert any(
+            len(set(inverse.tolist())) < len(inverse) for group in fused_groups for inverse in group
+        ), "expected a fused job with a repeated state"
+        self.assert_agents_equal(fused_agents, serial_agents)
 
     def test_mixed_architectures_split_into_groups(self):
         rng = np.random.default_rng(9)
