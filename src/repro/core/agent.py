@@ -48,11 +48,6 @@ class AgentConfig:
     #: Compute precision of the Q-networks ("float64" keeps the historical
     #: bit-exact behaviour; "float32" roughly halves GEMM time).
     dtype: str = "float64"
-    #: When True the agent is driven by an external :class:`TrainerLoop`
-    #: (background trainer thread): :meth:`DQNAgent.store_and_train` only
-    #: stores, so no inline path can accidentally train on the decision
-    #: thread while the trainer owns the optimiser.
-    async_training: bool = False
     seed: int = 0
 
 
@@ -126,19 +121,6 @@ class DQNAgent:
             self.diagnostics.last_loss = report.loss
             self.diagnostics.losses.append(report.loss)
 
-    def store_and_train(self, transition: Transition) -> TrainStepReport | None:
-        """Store a transition and train when the cadence and buffer allow it.
-
-        With ``config.async_training`` the gradient step belongs to the
-        background trainer thread — this method degrades to a pure store.
-        """
-        self.store(transition)
-        if self.config.async_training or not self.should_train():
-            return None
-        report = self.learner.train_step(self.memory)
-        self.record_report(report)
-        return report
-
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict:
         """Everything the agent learned: learner (networks + optimiser),
@@ -164,14 +146,3 @@ class DQNAgent:
         last_loss = diagnostics["last_loss"]
         self.diagnostics.last_loss = None if last_loss is None else float(last_loss)
         self.diagnostics.losses = [float(x) for x in np.asarray(diagnostics["losses"])]
-
-    def train_once(self) -> TrainStepReport | None:
-        """Force one gradient step (used by offline pre-training helpers)."""
-        if len(self.memory) == 0:
-            return None
-        report = self.learner.train_step(self.memory)
-        if report is not None:
-            self.diagnostics.train_steps += 1
-            self.diagnostics.last_loss = report.loss
-            self.diagnostics.losses.append(report.loss)
-        return report

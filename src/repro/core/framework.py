@@ -239,7 +239,6 @@ class TaskArrangementFramework(ArrangementPolicy):
             target_sync_interval=config.target_sync_interval,
             train_interval=config.train_interval,
             prioritized_replay=config.prioritized_replay,
-            async_training=config.async_training,
             seed=config.seed,
         )
         self.agent_w = (
@@ -399,14 +398,15 @@ class TaskArrangementFramework(ArrangementPolicy):
         Performs all the (deterministic) bookkeeping of
         :meth:`observe_feedback` — arrival statistics, worker features,
         future-state prediction, transition construction — and returns the
-        transitions each agent must ``store_and_train`` in order.  The
-        episode-vectorized group trainer uses this to interleave N replicas'
-        sequences and fuse their same-shaped train steps; the serial path
-        simply executes the plan immediately.  Future-state prediction reads
-        only the arrival statistics and worker bookkeeping (never network
-        weights or the replay RNG), so building both agents' transitions
-        before either trains yields the same numbers as the historical
-        train-as-you-go interleaving.
+        transitions each agent must store, and train on when due, in order
+        (:func:`~repro.core.trainer.run_plan`).  The episode-vectorized group
+        trainer uses this to interleave N replicas' sequences and fuse their
+        same-shaped train steps; the serial path simply executes the plan
+        immediately.  Future-state prediction reads only the arrival
+        statistics and worker bookkeeping (never network weights or the
+        replay RNG), so building both agents' transitions before either
+        trains yields the same numbers as the historical train-as-you-go
+        interleaving.
         """
         key = (context.timestamp, context.worker.worker_id)
         decision = self._pending.pop(key, None)

@@ -13,21 +13,41 @@ minimises the (importance-weighted) mean-squared TD error over a replay
 batch, with gradient clipping, and the target network is refreshed by a hard
 parameter copy every ``target_sync_interval`` updates (the paper copies
 ``θ̃ ← θ`` every 100 iterations).
+
+The train step is written once, over a group of learners:
+:func:`bellman_targets` computes the targets of N ``(learner, transitions)``
+jobs and :func:`gradient_updates` applies N gradient steps.  Jobs whose
+networks share one architecture and whose states share one shape run each
+forward as one call over the networks' stacked parameters
+(:func:`repro.core.qnetwork.q_forward`), and each learner's slice of it is
+bit-identical to its own call.  A lone job is the ``N = 1`` group: it
+forwards through its network's
+:meth:`~repro.core.qnetwork.SetQNetwork.forward_batch`.  Serial, async and
+serve training make one-job calls through :meth:`DoubleDQNLearner.train_step`;
+lockstep replicas (:func:`repro.core.vectorized.fused_train_steps`) make one
+call over every agent due to train.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..nn import Adam, Tensor, no_grad
-from .qnetwork import SetQNetwork
+from ..nn import Adam, Tensor, is_grad_enabled, no_grad
+from .qnetwork import SetQNetwork, pad_state_batch, q_forward, stack_parameters
 from .replay import PrioritizedReplayMemory, ReplayMemory, Transition
 from .state import StateMatrix, distinct_states
 
-__all__ = ["DoubleDQNLearner", "TargetBranches", "TrainStepReport"]
+__all__ = [
+    "DoubleDQNLearner",
+    "TargetBranches",
+    "TrainStepReport",
+    "UpdateJob",
+    "bellman_targets",
+    "gradient_updates",
+]
 
 
 @dataclass
@@ -42,14 +62,13 @@ class TrainStepReport:
 
 @dataclass
 class TargetBranches:
-    """The non-empty future-state branches behind a batch's Bellman targets.
+    """The non-empty future-state branches behind one job's Bellman targets.
 
-    :meth:`DoubleDQNLearner.td_targets_batch` and the lockstep group trainer
-    (:mod:`repro.core.vectorized`) share this bookkeeping and differ only in
-    how they run its two forwards: the *target* network on the branches
-    whose memoised Q-vector is stale (:meth:`uncached`, stored back by
-    :meth:`memoise`) and the *online* network on every branch, whose argmax
-    picks the action the target network evaluates (:meth:`targets`).
+    :func:`bellman_targets` runs two forwards over them: the *target*
+    network on the branches missing from the learner's memo
+    (:meth:`uncached`, stored back by :meth:`memoise`) and the *online*
+    network on every branch, whose argmax picks the action the target
+    network evaluates (:meth:`targets`).
     """
 
     learner: "DoubleDQNLearner"
@@ -57,7 +76,8 @@ class TargetBranches:
     states: list[StateMatrix] = field(default_factory=list)
     owner: list[int] = field(default_factory=list)
     prob: list[float] = field(default_factory=list)
-    source: list[tuple[Transition, int]] = field(default_factory=list)
+    #: ``id`` of each branch object: its key in the learner's target memo.
+    keys: list[int] = field(default_factory=list)
 
     @classmethod
     def collect(
@@ -65,33 +85,25 @@ class TargetBranches:
     ) -> "TargetBranches":
         branches = cls(learner, np.array([t.reward for t in transitions], dtype=np.float64))
         for i, transition in enumerate(transitions):
-            for slot, (probability, future_state) in enumerate(transition.future_states):
+            for probability, future_state in transition.future_states:
                 if future_state.num_tasks == 0:
                     continue
                 branches.states.append(future_state)
                 branches.owner.append(i)
                 branches.prob.append(probability)
-                branches.source.append((transition, slot))
+        branches.keys = list(map(id, branches.states))
         return branches
 
-    def uncached(self) -> list[int]:
+    def uncached(self) -> list[StateMatrix]:
         """Branches whose target Q-vector was not memoised since the last sync."""
-        version = self.learner._target_version
-        return [
-            j
-            for j, (transition, _) in enumerate(self.source)
-            if transition.target_cache_version != version
-        ]
+        memo = self.learner._target_memo
+        return [state for state, key in zip(self.states, self.keys) if key not in memo]
 
-    def memoise(self, indices: list[int], values: np.ndarray) -> None:
-        """Store target-network rows ``values[k]`` for branches ``indices[k]``."""
-        version = self.learner._target_version
-        for row, j in enumerate(indices):
-            transition, slot = self.source[j]
-            if transition.target_cache_version != version:
-                transition.target_cache = [None] * len(transition.future_states)
-                transition.target_cache_version = version
-            transition.target_cache[slot] = values[row, : self.states[j].num_tasks].copy()
+    def memoise(self, states: list[StateMatrix], values: np.ndarray) -> None:
+        """Store target-network rows ``values[k]`` for branches ``states[k]``."""
+        memo = self.learner._target_memo
+        for state, row in zip(states, values):
+            memo[id(state)] = (state, row[: state.num_tasks].copy())
 
     def targets(self, online_values: np.ndarray) -> np.ndarray:
         """Rewards plus discounted expected target values at the online argmax."""
@@ -101,22 +113,195 @@ class TargetBranches:
         columns = np.arange(online_values.shape[1])
         padded = columns[np.newaxis, :] >= counts[:, np.newaxis]
         best_actions = np.argmax(np.where(padded, -np.inf, online_values), axis=1)
-        branch_values = np.empty(len(self.states), dtype=np.float64)
-        for j, (transition, slot) in enumerate(self.source):
-            branch_values[j] = transition.target_cache[slot][best_actions[j]]
+        memo = self.learner._target_memo
+        branch_values = np.array(
+            [memo[key][1][action] for key, action in zip(self.keys, best_actions)],
+            dtype=np.float64,
+        )
         expected_future = np.zeros(len(self.rewards), dtype=np.float64)
         np.add.at(expected_future, np.asarray(self.owner), np.asarray(self.prob) * branch_values)
         return self.rewards + self.learner.gamma * expected_future
 
 
+class UpdateJob(NamedTuple):
+    """One learner's sampled batch and its Bellman targets, ready to train on."""
+
+    learner: "DoubleDQNLearner"
+    memory: ReplayMemory | PrioritizedReplayMemory
+    transitions: list[Transition]
+    indices: np.ndarray
+    weights: np.ndarray
+    targets: np.ndarray
+
+
+# --------------------------------------------------------------------- #
+# The train step, over a group of learners
+# --------------------------------------------------------------------- #
+def _fusion_groups(indices: list[int], key: Callable[[int], tuple | None]) -> Iterable[list[int]]:
+    """Job indices grouped by ``key``; a lone job, or one keyed None, forms its own group."""
+    if len(indices) == 1:
+        return [indices]
+    groups: dict[tuple, list[int]] = {}
+    for index in indices:
+        found = key(index)
+        groups.setdefault(("alone", index) if found is None else found, []).append(index)
+    return groups.values()
+
+
+def _shape_key(network: SetQNetwork, states: list[StateMatrix]) -> tuple | None:
+    """The network's architecture and the states' common shape; None when ragged."""
+    shape = states[0].matrix.shape
+    for state in states:
+        if state.matrix.shape != shape:
+            return None
+    return network.signature, shape
+
+
+def _group_forward(
+    networks: Sequence[SetQNetwork], state_lists: Sequence[list[StateMatrix]]
+) -> Tensor:
+    """``(N, B, rows)`` values of N networks, each on its own list of states, in one call.
+
+    A lone network runs its own :meth:`SetQNetwork.forward_batch`.  A group
+    stacks the networks' parameters; its lists share one state shape, and
+    shorter lists are padded along the batch axis with all-masked states,
+    which only adds GEMM rows and leaves every real row's bits unchanged
+    (M-invariance, pinned for M >= 2 by
+    ``tests/core/test_stacked_equivalence.py``).  The values are a graph
+    tensor while gradients are enabled.
+    """
+    if len(networks) == 1:
+        values = networks[0].forward_batch(state_lists[0])
+        return values.reshape((1,) + values.shape)
+    dtype = networks[0].dtype
+    padded = [pad_state_batch(states, dtype=dtype) for states in state_lists]
+    longest = max(len(batch) for batch, _ in padded)
+    batch = np.zeros((len(padded), longest) + padded[0][0].shape[1:], dtype=dtype)
+    mask = np.ones(batch.shape[:-1], dtype=bool)
+    for i, (states_batch, states_mask) in enumerate(padded):
+        batch[i, : len(states_batch)] = states_batch
+        mask[i, : len(states_mask)] = states_mask
+    graph = is_grad_enabled()
+    params = stack_parameters(
+        [network.parameter_map if graph else network.parameter_arrays() for network in networks]
+    )
+    values = q_forward(params, batch, mask, networks[0].num_heads)
+    return values if graph else Tensor(values)
+
+
+def _distinct_values(
+    networks: Sequence[SetQNetwork], state_lists: Sequence[list[StateMatrix]]
+) -> list[np.ndarray]:
+    """Graph-free values of each network on its list, scoring each distinct state once."""
+    distinct = [distinct_states(states) for states in state_lists]
+    values = _group_forward(networks, [unique for unique, _ in distinct]).numpy()
+    return [values[i, inverse] for i, (_, inverse) in enumerate(distinct)]
+
+
+@no_grad()
+def bellman_targets(
+    jobs: Sequence[tuple["DoubleDQNLearner", list[Transition]]]
+) -> list[np.ndarray]:
+    """Revised Bellman targets of N ``(learner, transitions)`` jobs.
+
+    Every non-empty future-state branch of a job joins two graph-free
+    forwards: the *target* network over the branches missing from the
+    learner's memo, and the *online* network over all of them, whose argmax
+    picks the action the target network evaluates (double Q-learning).  The
+    target network is frozen between hard syncs and a branch never changes,
+    so the memo keys target Q-vectors on the branch object until the next
+    sync: sibling transitions of one feedback share their ``future_states``,
+    and a step on one serves the others.  Each forward scores a job's
+    distinct branch objects once (:func:`~repro.core.state.distinct_states`),
+    which only shrinks the GEMM row count.  Jobs whose networks share one
+    architecture and whose branches share one shape make one stacked call
+    per network role (:func:`_group_forward`).  Matches the per-transition
+    reference in ``tests/core/reference.py`` to float tolerance.
+    """
+    collected = [TargetBranches.collect(learner, transitions) for learner, transitions in jobs]
+    targets = [branches.rewards for branches in collected]
+    pending = [i for i, branches in enumerate(collected) if branches.states]
+    for group in _fusion_groups(
+        pending, lambda i: _shape_key(collected[i].learner.online, collected[i].states)
+    ):
+        members = [collected[i] for i in group]
+        stale = [(branches, branches.uncached()) for branches in members]
+        stale = [(branches, states) for branches, states in stale if states]
+        if stale:
+            fresh = _distinct_values(
+                [branches.learner.target for branches, _ in stale],
+                [states for _, states in stale],
+            )
+            for (branches, states), values in zip(stale, fresh):
+                branches.memoise(states, values)
+        online = _distinct_values(
+            [branches.learner.online for branches in members],
+            [branches.states for branches in members],
+        )
+        for i, branches, values in zip(group, members, online):
+            targets[i] = branches.targets(values)
+    return targets
+
+
+def gradient_updates(jobs: Sequence[UpdateJob]) -> list[TrainStepReport]:
+    """Apply N gradient steps, one per job.
+
+    A job's loss is the importance-weighted mean squared TD error of its
+    sampled ``(state, action)`` predictions against its targets.  The
+    prediction graph scores each distinct state object once (siblings of one
+    feedback share their ``state``) and every transition gathers its value
+    from that row.  Jobs whose networks share one architecture, whose states
+    share one shape, and that have as many distinct states and as many
+    transitions form one ``(N, B, rows)`` graph: one forward, one gather, one
+    loss per job and one backward that seeds each loss with gradient 1.0, as
+    its own scalar backward would, and leaves each learner's gradient in its
+    own parameters.  Every update then clips, steps, refreshes its sampled
+    priorities and syncs its target network.  Each job's numbers are
+    bit-identical to its one-job call.
+    """
+    distinct = [distinct_states([t.state for t in job.transitions]) for job in jobs]
+
+    def key(i: int) -> tuple | None:
+        unique = distinct[i][0]
+        shape = _shape_key(jobs[i].learner.online, unique)
+        return None if shape is None else (shape, len(unique), len(jobs[i].transitions))
+
+    reports: list[TrainStepReport] = [None] * len(jobs)  # type: ignore[list-item]
+    for group in _fusion_groups(list(range(len(jobs))), key):
+        members = [jobs[i] for i in group]
+        dtype = members[0].learner.online.dtype
+        values = _group_forward(
+            [job.learner.online for job in members], [distinct[i][0] for i in group]
+        )
+        # One gather and one loss graph for the group.  Per job this is the
+        # one-job chain bit for bit: the advanced-index gather scatters one
+        # contribution per transition, in transition order, into that job's
+        # (distinct state, action) entries; the elementwise ops act per
+        # element; and the axis-1 mean reduces each job's row in the order of
+        # a 1-D mean.
+        gathered = values[
+            np.arange(len(group))[:, np.newaxis],
+            np.array([distinct[i][1] for i in group]),
+            np.array([[t.action_index for t in job.transitions] for job in members]),
+        ]
+        # Targets and IS weights join the loss graph in the network's compute
+        # dtype, so a float32 network never silently promotes back to float64.
+        diff = gathered - Tensor(np.array([job.targets for job in members], dtype=dtype))
+        weights = Tensor(np.array([job.weights for job in members], dtype=dtype))
+        losses = (weights * diff * diff).mean(axis=1)
+        for job in members:
+            job.learner.optimizer.zero_grad()
+        losses.backward(np.ones(len(group)))
+        loss_values, predictions = losses.numpy(), gathered.numpy()
+        for i, job, loss, prediction in zip(group, members, loss_values, predictions):
+            reports[i] = job.learner._finish_update(
+                job.memory, float(loss), job.targets, prediction, job.indices, len(job.transitions)
+            )
+    return reports
+
+
 class DoubleDQNLearner:
     """Optimises a :class:`SetQNetwork` from a replay memory."""
-
-    # Source of globally unique target-cache tokens: transitions may be
-    # shared between learner instances (or a learner may be rebuilt over a
-    # persisted memory), so a plain per-learner counter could collide and
-    # serve another learner's cached target values.
-    _cache_tokens = itertools.count(1)
 
     def __init__(
         self,
@@ -141,115 +326,39 @@ class DoubleDQNLearner:
         self.grad_clip = grad_clip
         self.optimizer = Adam(list(network.parameters()), lr=learning_rate)
         self.updates = 0
-        # Refreshed on every hard target sync; invalidates the per-transition
-        # target-network caches (see Transition.target_cache).
-        self._target_version = next(DoubleDQNLearner._cache_tokens)
+        #: Target-network Q-vectors of future-state branches since the last
+        #: hard sync, keyed by the branch object's ``id``.  Sibling
+        #: transitions share one ``future_states`` list, so one entry serves
+        #: them all; each entry holds its branch, so the id is not reused.
+        self._target_memo: dict[int, tuple[StateMatrix, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
-    @no_grad()
     def td_targets_batch(self, transitions: list[Transition]) -> np.ndarray:
-        """Revised Bellman targets for a whole batch in two batched forwards.
+        """Revised Bellman targets of one batch: the one-job :func:`bellman_targets`."""
+        return bellman_targets([(self, transitions)])[0]
 
-        Every non-empty future-state branch of every transition is flattened
-        into one padded mega-batch; a single batched *online* forward selects
-        the best future action per branch and the *target* network evaluates
-        it (double Q-learning), instead of two forwards per branch.  Target
-        Q-vectors are additionally memoised on the transition (the target
-        network is frozen between hard syncs and ``future_states`` is
-        immutable), so in steady state only branches that have never been
-        seen since the last sync cost a target forward.
-
-        Both forwards score each distinct branch object once
-        (:func:`~repro.core.state.distinct_states`): sibling transitions of
-        one feedback share their ``future_states``, so a batch repeats
-        branch states.  Dropping the repeats only shrinks the GEMM row
-        count, which leaves every value bit-identical (M-invariance, pinned
-        for M >= 2 by ``tests/core/test_stacked_equivalence.py``).  Matches
-        the per-transition reference in ``tests/core/reference.py`` to float
-        tolerance.
-        """
-        branches = TargetBranches.collect(self, transitions)
-        if not branches.states:
-            return branches.rewards
-        uncached = branches.uncached()
-        if uncached:
-            unique, inverse = distinct_states([branches.states[j] for j in uncached])
-            branches.memoise(uncached, self.target.forward_batch(unique).numpy()[inverse])
-        unique, inverse = distinct_states(branches.states)
-        return branches.targets(self.online.forward_batch(unique).numpy()[inverse])
-
-    # ------------------------------------------------------------------ #
     def train_step(
         self, memory: ReplayMemory | PrioritizedReplayMemory
     ) -> TrainStepReport | None:
         """Sample a batch, perform one gradient step, refresh priorities.
 
-        This is the batched engine: all TD targets come from two batched
-        forwards (:meth:`td_targets_batch`) and all predictions plus the
+        The one-job call of :func:`bellman_targets` (through
+        :meth:`td_targets_batch`) and :func:`gradient_updates`: every target
+        comes from two batched forwards, and every prediction plus the
         weighted loss form **one** autograd graph over a padded
-        ``(B, rows, dim)`` mega-batch, instead of ``O(batch_size)`` separate
-        graphs.  ``B`` counts distinct state objects, not transitions:
-        siblings of one feedback share their ``state``, so each distinct
-        state is scored once and every transition gathers its
-        ``(state, action)`` value from that row.  Numerically it matches the
-        per-sample reference in ``tests/core/reference.py`` (same RNG draws,
-        same targets to float tolerance).
+        ``(B, rows, dim)`` batch of the distinct sampled states.  Numerically
+        it matches the per-sample reference in ``tests/core/reference.py``
+        (same RNG draws, same targets to float tolerance).
 
         Returns ``None`` when the memory is still empty.
         """
         if len(memory) == 0:
             return None
         transitions, indices, weights = memory.sample(self.batch_size)
-        return self.train_step_on(memory, transitions, indices, weights)
-
-    def train_step_on(
-        self,
-        memory: ReplayMemory | PrioritizedReplayMemory,
-        transitions: list[Transition],
-        indices: np.ndarray,
-        weights: np.ndarray,
-        targets: np.ndarray | None = None,
-    ) -> TrainStepReport:
-        """One gradient step on an already-sampled batch.
-
-        The tail of :meth:`train_step` after sampling, split out so the
-        episode-vectorized group trainer (which samples every replica first,
-        then fuses same-shaped forwards across replicas) can drive the exact
-        same update path.  ``targets`` may be precomputed (the group trainer
-        fuses the target forwards too); ``None`` computes them here.
-        """
-        if targets is None:
-            targets = self.td_targets_batch(transitions)
-
-        unique, inverse = distinct_states([t.state for t in transitions])
-        values = self.online.forward_batch(unique)
-        actions = np.array([t.action_index for t in transitions], dtype=np.int64)
-        stacked = values[inverse, actions]
-
-        # Targets and IS weights join the loss graph in the network's compute
-        # dtype, so a float32 network never silently promotes back to float64.
-        dtype = self.online.dtype
-        weight_tensor = Tensor(np.asarray(weights, dtype=dtype))
-        diff = stacked - Tensor(np.asarray(targets, dtype=dtype))
-        loss = (weight_tensor * diff * diff).mean()
-
-        return self._apply_update(memory, loss, targets, stacked.numpy(), indices, len(transitions))
-
-    def _apply_update(
-        self,
-        memory: ReplayMemory | PrioritizedReplayMemory,
-        loss: Tensor,
-        targets: np.ndarray,
-        predictions: np.ndarray,
-        indices: np.ndarray,
-        batch_size: int,
-    ) -> TrainStepReport:
-        """Backprop ``loss``, clip, step, refresh priorities and sync targets."""
-        self.optimizer.zero_grad()
-        loss.backward()
-        return self._finish_update(
-            memory, float(loss.item()), targets, predictions, indices, batch_size
-        )
+        targets = self.td_targets_batch(transitions)
+        return gradient_updates(
+            [UpdateJob(self, memory, transitions, indices, weights, targets)]
+        )[0]
 
     def _finish_update(
         self,
@@ -260,13 +369,7 @@ class DoubleDQNLearner:
         indices: np.ndarray,
         batch_size: int,
     ) -> TrainStepReport:
-        """Clip, step, refresh priorities and sync targets — gradients already set.
-
-        Shared by the serial path (after its own ``backward``) and the
-        episode-vectorized group trainer, whose single backward over the
-        stacked graph has already deposited this learner's gradients into the
-        optimiser's flat buffer.
-        """
+        """Clip, step, refresh priorities and sync targets — gradients already set."""
         # Single reduction over the optimizer's flat gradient buffer; the
         # scaled flat gradient is exactly what the fused step consumes.
         gradient_norm = self.optimizer.clip_grad_norm_(self.grad_clip)
@@ -289,8 +392,7 @@ class DoubleDQNLearner:
     def sync_target(self) -> None:
         """Hard-copy online parameters into the target network (θ̃ ← θ)."""
         self.target.load_state_dict(self.online.state_dict())
-        # Invalidate every per-transition target cache (lazily, by token).
-        self._target_version = next(DoubleDQNLearner._cache_tokens)
+        self._target_memo.clear()
 
     def invalidate_target_cache(self) -> None:
         """Drop all memoised target Q-vectors without touching the networks.
@@ -300,7 +402,7 @@ class DoubleDQNLearner:
         learner and the one that kept running recompute identical values in
         identical batch shapes — bit-for-bit deterministic resume.
         """
-        self._target_version = next(DoubleDQNLearner._cache_tokens)
+        self._target_memo.clear()
 
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict:

@@ -119,15 +119,6 @@ class Transition:
     reward: float
     future_states: list[tuple[float, StateMatrix]] = field(default_factory=list)
     timestamp: float = 0.0
-    # Per-branch target-network Q-vector cache, maintained by
-    # :class:`repro.core.learner.DoubleDQNLearner`.  The target network is
-    # frozen between hard syncs, and ``future_states`` never changes once the
-    # transition is stored, so the target Q values of each branch can be
-    # computed once per sync epoch and reused on every resample.  The cache
-    # is evicted together with the transition when the ring buffer overwrites
-    # it.
-    target_cache_version: int = field(default=-1, repr=False, compare=False)
-    target_cache: list = field(default_factory=list, repr=False, compare=False)
 
 
 class ReplayMemory:

@@ -10,10 +10,10 @@ policy serves.
 Two :class:`TrainerLoop` implementations realise that split:
 
 * :class:`SyncTrainer` — today's inline behaviour, unchanged: every training
-  plan executes immediately on the caller's thread (``store`` + cadenced
-  ``train_step``), and decisions read the live online network.  This is the
-  exact-equality reference; the framework with a ``SyncTrainer`` is
-  bit-identical to the historical inline path.
+  plan executes immediately on the caller's thread (:func:`run_plan`:
+  ``store`` + cadenced ``train_step``), and decisions read the live online
+  network.  This is the exact-equality reference; the framework with a
+  ``SyncTrainer`` is bit-identical to the historical inline path.
 * :class:`AsyncTrainer` — training plans are handed to a background thread
   through a bounded queue.  The trainer thread stores transitions, runs
   (amortised) train steps and *publishes* new parameters as one contiguous
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (agent imports nothin
     from .agent import DQNAgent
     from .replay import Transition
 
-__all__ = ["TrainerLoop", "SyncTrainer", "AsyncTrainer", "SnapshotNetwork"]
+__all__ = ["TrainerLoop", "SyncTrainer", "AsyncTrainer", "SnapshotNetwork", "run_plan"]
 
 #: One training plan: what ``TaskArrangementFramework.build_training_plan``
 #: returns for a single feedback — per-agent transition sequences.
@@ -102,6 +102,23 @@ class SnapshotNetwork(QScorer):
         np.copyto(self._flat, source)
 
 
+def run_plan(plan) -> int:
+    """Store a plan's transitions in order, training each agent whenever it is due.
+
+    The one store-and-train loop: after every stored transition the agent's
+    cadence (:meth:`DQNAgent.should_train`) decides whether it takes a train
+    step now.  Returns the number of train steps taken.
+    """
+    steps = 0
+    for agent, transitions in plan:
+        for transition in transitions:
+            agent.store(transition)
+            if agent.should_train():
+                agent.record_report(agent.learner.train_step(agent.memory))
+                steps += 1
+    return steps
+
+
 class TrainerLoop:
     """How one framework's training plans get executed.
 
@@ -138,11 +155,7 @@ class SyncTrainer(TrainerLoop):
     """Inline execution — the historical behaviour and exact-equality reference."""
 
     def submit(self, plan) -> None:
-        for agent, transitions in plan:
-            for transition in transitions:
-                agent.store(transition)
-                if agent.should_train():
-                    agent.record_report(agent.learner.train_step(agent.memory))
+        run_plan(plan)
 
     def scorer(self, agent: "DQNAgent") -> QScorer:
         return agent.network
@@ -384,15 +397,6 @@ class AsyncTrainer(TrainerLoop):
             if self._steps_since_publish >= self._publish_interval:
                 self._publish()
 
-    def _consume_fixed(self, plan) -> None:
-        """Full serial store/train semantics for one plan (fixed schedule)."""
-        for agent, transitions in plan:
-            for transition in transitions:
-                agent.store(transition)
-                if agent.should_train():
-                    agent.record_report(agent.learner.train_step(agent.memory))
-                    self._train_steps += 1
-
     def _run(self) -> None:
         try:
             while True:
@@ -415,7 +419,7 @@ class AsyncTrainer(TrainerLoop):
                     self._consume_free(batch)
                 else:
                     for plan in batch:
-                        self._consume_fixed(plan)
+                        self._train_steps += run_plan(plan)
                 self._busy_seconds += time.perf_counter() - started
                 with self._cond:
                     self._consumed += len(batch)

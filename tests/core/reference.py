@@ -1,10 +1,13 @@
-"""Per-sample reference implementations of the learner's batched engine.
+"""Per-sample reference implementations of the learner's batched train step.
 
-``DoubleDQNLearner.train_step`` computes every revised Bellman target of a
-replay batch in two batched forwards and the whole prediction loss in one
-padded graph.  The functions here are the original per-transition versions
-it replaced — two forwards per future branch, one autograd graph per sampled
-transition — kept only so the equivalence tests can compare against them.
+``DoubleDQNLearner.train_step`` is the one-job call of the group train step
+(``repro.core.learner.bellman_targets`` and ``gradient_updates``): every
+revised Bellman target of a replay batch comes from two batched forwards and
+the whole prediction loss from one padded graph.  The functions here are the
+original per-transition versions it replaced — two forwards per future
+branch, one autograd graph per sampled transition — kept only so the
+equivalence tests can compare against them.  They finish with the learner's
+own clip, step, priority and sync code (``_finish_update``).
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ def train_step_unbatched(learner: DoubleDQNLearner, memory):
     dtype = learner.online.dtype
     diff = stacked - Tensor(np.asarray(targets, dtype=dtype))
     loss = (Tensor(np.asarray(weights, dtype=dtype)) * diff * diff).mean()
-    return learner._apply_update(
-        memory, loss, targets, stacked.numpy(), indices, len(transitions)
+    learner.optimizer.zero_grad()
+    loss.backward()
+    return learner._finish_update(
+        memory, float(loss.item()), targets, stacked.numpy(), indices, len(transitions)
     )

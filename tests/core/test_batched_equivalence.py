@@ -14,6 +14,7 @@ import pytest
 from repro.core import (
     DoubleDQNLearner,
     PrioritizedReplayMemory,
+    ReplayMemory,
     SetQNetwork,
     StateTransformer,
     SumTree,
@@ -178,7 +179,7 @@ class TestTrainStepEquivalence:
 
     def test_learners_sharing_transitions_do_not_share_caches(self, schema):
         """Two learners over the same memory must not serve each other's
-        cached target values (cache tokens are globally unique)."""
+        cached target values (each learner keeps its own memo)."""
         transformer = StateTransformer(schema)
         _, memory = build_learner_and_memory(schema, transformer)
         network_a = SetQNetwork(transformer.row_dim, hidden_dim=32, num_heads=4, seed=1)
@@ -192,6 +193,38 @@ class TestTrainStepEquivalence:
         scalar_b = np.array([td_target(learner_b, t) for t in transitions])
         np.testing.assert_allclose(targets_a, scalar_a, atol=TOL)
         np.testing.assert_allclose(targets_b, scalar_b, atol=TOL)
+
+    def test_siblings_reuse_memoised_target_values(self, schema, monkeypatch):
+        """Siblings share one future list: a step on one memoises it for the other."""
+        transformer = StateTransformer(schema)
+        learner, _ = build_learner_and_memory(schema, transformer, count=0)
+        state = random_state(schema, transformer, 4, 1)
+        future = [(0.5, random_state(schema, transformer, 3, 10 + b)) for b in range(2)]
+        siblings = [
+            Transition(state=state, action_index=action, reward=reward, future_states=future)
+            for action, reward in ((0, 1.0), (1, 0.0))
+        ]
+        forwarded = []
+        forward_batch = learner.target.forward_batch
+
+        def spy(states):
+            forwarded.append(len(states))
+            return forward_batch(states)
+
+        monkeypatch.setattr(learner.target, "forward_batch", spy)
+        for transition in siblings:
+            memory = ReplayMemory(capacity=1)
+            memory.push(transition)
+            learner.train_step(memory)
+        assert forwarded == [len(future)]
+        np.testing.assert_allclose(
+            learner.td_targets_batch(siblings), [td_target(learner, t) for t in siblings], atol=TOL
+        )
+        assert forwarded == [len(future)]
+        # A checkpoint boundary drops the memo, so the branches are forwarded again.
+        learner.invalidate_target_cache()
+        learner.td_targets_batch(siblings)
+        assert forwarded == [len(future), len(future)]
 
     @staticmethod
     def assert_steps_match_reference(build):

@@ -15,6 +15,7 @@ from repro.core import (
     ReplayMemory,
     SetQNetwork,
     StateTransformer,
+    SyncTrainer,
     TaskArrangementFramework,
     Transition,
 )
@@ -247,7 +248,7 @@ class TestAggregator:
 
 
 class TestDQNAgent:
-    def test_store_and_train_respects_interval_and_minimum(self, schema):
+    def test_sync_trainer_respects_interval_and_minimum(self, schema):
         transformer = StateTransformer(schema)
         config = AgentConfig(
             hidden_dim=16, num_heads=2, batch_size=4, train_interval=2,
@@ -256,16 +257,14 @@ class TestDQNAgent:
         agent = DQNAgent(transformer.row_dim, config)
         state = make_state(schema, transformer)
         transition = Transition(state=state, action_index=0, reward=1.0, future_states=[])
-        reports = [agent.store_and_train(transition) for _ in range(8)]
+        trainer = SyncTrainer()
+        steps = []
+        for _ in range(8):
+            trainer.submit([(agent, [transition])])
+            steps.append(agent.diagnostics.train_steps)
         assert agent.diagnostics.observations == 8
         # No training before the buffer minimum, then one step every 2 observations.
-        assert reports[0] is None and reports[1] is None and reports[2] is None
-        assert agent.diagnostics.train_steps > 0
-
-    def test_train_once_on_empty_memory(self, schema):
-        transformer = StateTransformer(schema)
-        agent = DQNAgent(transformer.row_dim, AgentConfig(hidden_dim=16, num_heads=2))
-        assert agent.train_once() is None
+        assert steps == [0, 0, 0, 1, 1, 2, 2, 3]
 
     def test_uniform_replay_option(self, schema):
         transformer = StateTransformer(schema)

@@ -32,13 +32,14 @@ import numpy as np
 import pytest
 
 from repro.core import FrameworkConfig, TaskArrangementFramework, vectorized
+from repro.core import learner as learner_module
 from repro.core.agent import AgentConfig, DQNAgent
 from repro.core.qnetwork import SetQNetwork, pad_state_batch, q_forward, stack_parameters
 from repro.core.replay import Transition
 from repro.core.state import StateMatrix
 from repro.core.vectorized import decide_lockstep, fused_train_steps
 from repro.crowd.entities import MINUTES_PER_DAY
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, is_grad_enabled, no_grad
 
 from test_checkpoint import make_context, snapshot  # noqa: F401 (fixture)
 
@@ -295,6 +296,26 @@ class TestFusedTrainSteps:
                 agent.record_report(agent.learner.train_step(agent.memory))
         self.assert_agents_equal(fused_agents, serial_agents)
 
+    def test_serial_and_fused_steps_run_one_train_step(self, monkeypatch):
+        """A serial step is the one-job call of the functions a fused step calls."""
+        calls = []
+        for name in ("bellman_targets", "gradient_updates"):
+            original = getattr(learner_module, name)
+            assert getattr(vectorized, name) is original, name
+
+            def spy(jobs, name=name, original=original):
+                calls.append((name, len(jobs)))
+                return original(jobs)
+
+            monkeypatch.setattr(learner_module, name, spy)
+            monkeypatch.setattr(vectorized, name, spy)
+        agents = self.build_agents(3, np.random.default_rng(4))
+        agents[0].learner.train_step(agents[0].memory)
+        assert calls == [("bellman_targets", 1), ("gradient_updates", 1)]
+        calls.clear()
+        fused_train_steps(agents)
+        assert calls == [("bellman_targets", 3), ("gradient_updates", 3)]
+
     @staticmethod
     def assert_agents_equal(fused_agents, serial_agents):
         for fused_agent, serial_agent in zip(fused_agents, serial_agents):
@@ -348,14 +369,22 @@ class TestFusedTrainSteps:
             return agents
 
         fused_agents, serial_agents = build(12), build(12)
-        fused_groups = []
-        fused_update = vectorized._fused_prediction_update
+        # What the fused update did: each job's sampled state objects, and
+        # the distinct-state lists of every stacked prediction forward.
+        sampled, fused_groups = [], []
+        update, group_forward = vectorized.gradient_updates, learner_module._group_forward
 
-        def spy(jobs):
-            fused_groups.append([job.inverse.copy() for job in jobs])
-            fused_update(jobs)
+        def update_spy(jobs):
+            sampled.extend([id(t.state) for t in job.transitions] for job in jobs)
+            return update(jobs)
 
-        monkeypatch.setattr(vectorized, "_fused_prediction_update", spy)
+        def forward_spy(networks, state_lists):
+            if len(networks) > 1 and is_grad_enabled():
+                fused_groups.append([[id(state) for state in states] for states in state_lists])
+            return group_forward(networks, state_lists)
+
+        monkeypatch.setattr(vectorized, "gradient_updates", update_spy)
+        monkeypatch.setattr(learner_module, "_group_forward", forward_spy)
         repeated = 0
         for _ in range(3):
             for agent in serial_agents:
@@ -365,9 +394,10 @@ class TestFusedTrainSteps:
             fused_train_steps(fused_agents)
 
         assert repeated, "the dominant priority should repeat samples"
-        assert any(len(group) > 1 for group in fused_groups), "expected a fused group"
+        assert fused_groups, "expected a fused group"
+        fused_jobs = [distinct for group in fused_groups for distinct in group]
         assert any(
-            len(set(inverse.tolist())) < len(inverse) for group in fused_groups for inverse in group
+            len(set(ids)) < len(ids) and list(dict.fromkeys(ids)) in fused_jobs for ids in sampled
         ), "expected a fused job with a repeated state"
         self.assert_agents_equal(fused_agents, serial_agents)
 

@@ -66,7 +66,8 @@ class TestTrainInterval:
             and count >= policy_amortised.agent_w.config.min_buffer_before_training
         )
 
-    def test_agent_should_train_matches_store_and_train(self):
+    def test_agent_should_train_matches_sync_trainer(self):
+        from repro.core import DQNAgent, SyncTrainer
         from repro.core.replay import Transition
         from repro.core.state import StateMatrix
 
@@ -74,15 +75,15 @@ class TestTrainInterval:
             hidden_dim=8, num_heads=2, batch_size=4, train_interval=2,
             min_buffer_before_training=2, seed=0,
         )
-        agent = build_agent = __import__("repro.core.agent", fromlist=["DQNAgent"]).DQNAgent(
-            6, agent_config
-        )
+        agent = DQNAgent(6, agent_config)
+        trainer = SyncTrainer()
         rng = np.random.default_rng(0)
         steps = []
         for i in range(6):
             matrix = rng.standard_normal((3, 6))
             state = StateMatrix(matrix=matrix, mask=np.zeros(3, bool), task_ids=[0, 1, 2])
-            report = agent.store_and_train(Transition(state=state, action_index=0, reward=1.0))
-            steps.append(report is not None)
+            before = agent.diagnostics.train_steps
+            trainer.submit([(agent, [Transition(state=state, action_index=0, reward=1.0)])])
+            steps.append(agent.diagnostics.train_steps > before)
         # Buffer floor 2, cadence 2: observations 2, 4, 6 train.
         assert steps == [False, True, False, True, False, True]

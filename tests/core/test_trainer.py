@@ -7,8 +7,8 @@ cadence steps it cannot keep up with).  What these tests pin down instead:
 * :class:`SnapshotNetwork` forwards are bitwise equal to the live network —
   the decision path never changes *what* is computed, only *which* frozen
   parameters it reads;
-* :class:`SyncTrainer` is exactly the historical inline ``store_and_train``
-  path (the exact-equality reference);
+* :class:`SyncTrainer` is exactly an inline store / ``should_train`` /
+  ``train_step`` loop (the exact-equality reference);
 * the fixed-schedule (``handoff_lag``) mode executes plans with full serial
   semantics — lag 0 is bit-identical to synchronous training;
 * the trainer thread never deadlocks on early termination and surfaces its
@@ -116,7 +116,9 @@ class TestSyncTrainer:
         rng = np.random.default_rng(7)
         for _ in range(10):
             transition = make_transition(rng)
-            inline.store_and_train(transition)
+            inline.store(transition)
+            if inline.should_train():
+                inline.record_report(inline.learner.train_step(inline.memory))
             trainer.submit([(via_trainer, [transition])])
         assert inline.diagnostics.train_steps == via_trainer.diagnostics.train_steps > 0
         np.testing.assert_array_equal(flat_params(inline), flat_params(via_trainer))

@@ -8,8 +8,8 @@ repository *guarantees* about async mode holds under a fixed handoff schedule
   bit-identical final network parameters;
 * checkpoint/resume is exact — the checkpoint barrier drains the trainer, so
   a killed-and-resumed run equals an uninterrupted one;
-* the knob threads end to end (FrameworkConfig → AgentConfig → registry →
-  specs → CLI), and a framework with ``async_training=False`` stays on the
+* the knob threads end to end (CLI → specs → registry → FrameworkConfig →
+  trainer), and a framework with ``async_training=False`` stays on the
   bit-identical :class:`SyncTrainer` path.
 """
 
@@ -79,8 +79,6 @@ class TestSeededHandoffDeterminism:
         asynchronous = build_policy("ddqn-worker", dataset, **ASYNC_FIXED)
         assert isinstance(synchronous.trainer, SyncTrainer)
         assert isinstance(asynchronous.trainer, AsyncTrainer)
-        assert not synchronous.agent_w.config.async_training
-        assert asynchronous.agent_w.config.async_training
         asynchronous.trainer.close()
 
     def test_vectorized_runner_routes_async_through_the_serial_path(self, dataset):
@@ -175,8 +173,6 @@ class TestConfigAndSpecThreading:
         assert trainer._queue_size == 16
         assert trainer._publish_interval == 2
         assert trainer._handoff_lag is None
-        for agent in (policy.agent_w, policy.agent_r):
-            assert agent.config.async_training
         trainer.close()
 
     def test_spec_round_trips_async_kwargs(self, dataset):
