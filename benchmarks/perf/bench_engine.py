@@ -53,6 +53,8 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_engine.json"
 
 #: Precisions the --dtype axis accepts.
 DTYPE_CHOICES = ("float64", "float32")
+#: Most tasks a branch of a ``rows_mix`` state expires into padding rows.
+MAX_EXPIRED = 3
 
 
 @dataclass
@@ -65,6 +67,12 @@ class BenchConfig:
     memory_size: int = 200
     pool_min: int = 3
     pool_max: int = 6
+    #: Row counts of the stored states, weighted; ``None`` draws
+    #: ``pool_min..pool_max`` uniformly, and every branch its own pool.  When
+    #: set, each branch keeps its state's row count with 0 to
+    #: :data:`MAX_EXPIRED` of its tasks expired into padding rows, as
+    #: ``StateMatrix.without_tasks`` builds the framework's branches.
+    rows_mix: dict[int, int] | None = None
     #: Future-state branch counts each transition draws from, uniformly.
     branches: tuple[int, ...] = (2, 3, 4)
     #: Transitions per stored state, drawn uniformly: the framework stores
@@ -100,19 +108,22 @@ class BenchConfig:
     def learn(cls) -> "BenchConfig":
         """The shape the ``learn`` workload trains at, in both modes.
 
-        A traced ``perfbench/run.py --workload learn`` run reads 15.2 rows
-        per state and 144.1 non-empty branches per step; here states hold
-        10-20 rows (mean 15) and transitions 2 or 3 branches (mean 2.25,
-        144 per batch of 64).  After a 60-arrival learn run the memory held
-        221 transitions over 108 states: 15 states with one transition, 73
-        with two and 20 with three, which ``siblings`` draws in proportion.
-        Five warm-up steps reach the steady state the fault count is read in.
+        The 128 timed train steps of a traced ``perfbench/run.py --workload
+        learn`` run (seed 1) sampled bimodal states: 59.0 % of 1-5 rows,
+        1.4 % of 8 and 39.5 % of 14-16, which ``rows_mix`` draws in
+        proportion.  Its 144.1 non-empty branches per step each kept their
+        state's row count with 0, 1, 2 or 3 tasks expired (44, 22, 19 and
+        15 %); here transitions carry 2 or 3 branches (mean 2.25, 144 per
+        batch of 64) that expire up to 3 tasks each.  After a 60-arrival
+        learn run the memory held 221 transitions over 108 states: 15 states
+        with one transition, 73 with two and 20 with three, which
+        ``siblings`` draws in proportion.  Five warm-up steps reach the
+        steady state the fault count is read in.
         """
         return cls(
             hidden_dim=64,
             batch_size=64,
-            pool_min=10,
-            pool_max=20,
+            rows_mix={1: 328, 2: 898, 3: 1670, 4: 604, 5: 1337, 8: 117, 14: 570, 15: 1974, 16: 694},
             branches=(2, 2, 2, 3),
             siblings=(1,) * 15 + (2,) * 73 + (3,) * 20,
             warmup=5,
@@ -164,24 +175,24 @@ def build_learner(config: BenchConfig, schema, transformer, dtype: str = "float6
     )
     memory = PrioritizedReplayMemory(capacity=1_000, seed=7)
     rng = np.random.default_rng(1)
+
+    def pool() -> int:
+        if config.rows_mix is None:
+            return int(rng.integers(config.pool_min, config.pool_max + 1))
+        weights = np.array(list(config.rows_mix.values()), dtype=np.float64)
+        return int(rng.choice(list(config.rows_mix), p=weights / weights.sum()))
+
+    def branch(state, seed: int):
+        if config.rows_mix is None:
+            return random_state(schema, transformer, pool(), seed)
+        expired = rng.integers(min(MAX_EXPIRED, state.num_tasks - 1) + 1)
+        return state.without_tasks(set(rng.permutation(state.num_tasks)[:expired].tolist()))
+
     i = 0
     while len(memory) < config.memory_size:
-        state = random_state(
-            schema, transformer, int(rng.integers(config.pool_min, config.pool_max + 1)), 100 + i
-        )
+        state = random_state(schema, transformer, pool(), 100 + i)
         branches = int(rng.choice(config.branches))
-        futures = [
-            (
-                1.0 / branches,
-                random_state(
-                    schema,
-                    transformer,
-                    int(rng.integers(config.pool_min, config.pool_max + 1)),
-                    1_000 + 10 * i + b,
-                ),
-            )
-            for b in range(branches)
-        ]
+        futures = [(1.0 / branches, branch(state, 1_000 + 10 * i + b)) for b in range(branches)]
         action = int(rng.integers(0, state.num_tasks))
         reward = float(rng.random())
         siblings = min(int(rng.choice(config.siblings)), config.memory_size - len(memory))
@@ -268,7 +279,8 @@ def bench_train_step_learn(schema, transformer) -> dict:
         "shape": {
             "hidden_dim": config.hidden_dim,
             "batch_size": config.batch_size,
-            "rows": [config.pool_min, config.pool_max],
+            "rows": {str(rows): weight for rows, weight in config.rows_mix.items()},
+            "max_expired": MAX_EXPIRED,
             "branches": list(config.branches),
             "siblings": {str(n): config.siblings.count(n) for n in sorted(set(config.siblings))},
         },

@@ -22,7 +22,8 @@ forward as one call over the networks' stacked parameters
 (:func:`repro.core.qnetwork.q_forward`), and each learner's slice of it is
 bit-identical to its own call.  A lone job is the ``N = 1`` group: it
 forwards through its network's
-:meth:`~repro.core.qnetwork.SetQNetwork.forward_batch`.  Serial, async and
+:meth:`~repro.core.qnetwork.SetQNetwork.forward_batch`, once per row-count
+bucket of a ragged batch (:func:`row_buckets`).  Serial, async and
 serve training make one-job calls through :meth:`DoubleDQNLearner.train_step`;
 lockstep replicas (:func:`repro.core.vectorized.fused_train_steps`) make one
 call over every agent due to train.
@@ -157,31 +158,94 @@ def _shape_key(network: SetQNetwork, states: list[StateMatrix]) -> tuple | None:
     return network.signature, shape
 
 
-def _group_forward(
-    networks: Sequence[SetQNetwork], state_lists: Sequence[list[StateMatrix]]
-) -> Tensor:
-    """``(N, B, rows)`` values of N networks, each on its own list of states, in one call.
+#: The fixed cost of one more graph-free forward call, in padded rows times
+#: network width: a train-step forward splits its batch into row-count
+#: buckets only where the padded rows x width a split saves exceed it.  A
+#: graph forward pays it twice, once more for the call's backward.  Measured
+#: on a 2-core x86-64 box at widths 16-64, one more call cost about 1,500
+#: units graph-free and 3,000 with its backward; on the train-step forwards
+#: of the ``learn`` benchmark workload any value from 2,048 to 8,192 ran as
+#: fast, and this one leaves almost every forward of a serve tenant (width
+#: 16, batch 8) in one call.
+SPLIT_COST = 4096
 
-    A lone network runs its own :meth:`SetQNetwork.forward_batch`.  A group
-    stacks the networks' parameters; its lists share one state shape, and
-    shorter lists are padded along the batch axis with all-masked states,
-    which only adds GEMM rows and leaves every real row's bits unchanged
-    (M-invariance, pinned for M >= 2 by
+
+def row_buckets(rows: np.ndarray, width: int, graph: bool) -> list[int]:
+    """Padded row counts of the contiguous row-count buckets a batch splits into.
+
+    ``rows`` are the row counts of the batch as sampled, repeats included.
+    With ``r_1 < ... < r_k`` its distinct counts (at least 1, as
+    :func:`~repro.core.qnetwork.pad_state_batch` pads), a bucket is a run
+    ``r_i..r_j`` padded to ``r_j``.  The partition with the least padded
+    rows x ``width`` plus :data:`SPLIT_COST` per call (doubled when the
+    forward builds a graph) wins; a tie goes to the longer last bucket.  A
+    uniform batch is one bucket.
+    """
+    sizes = np.bincount(np.maximum(rows, 1))
+    counts = np.flatnonzero(sizes)
+    if len(counts) == 1:
+        return counts.tolist()
+    counts, below = counts.tolist(), [0] + np.cumsum(sizes[counts]).tolist()
+    call = SPLIT_COST * (2 if graph else 1) / width
+    # best[j]: the least cost of the first j counts; start[j]: where its last bucket starts.
+    best, start = [0.0], [0]
+    for j in range(1, len(counts) + 1):
+        cost, first = min(
+            (best[i] + (below[j] - below[i]) * counts[j - 1] + call, i) for i in range(j)
+        )
+        best.append(cost)
+        start.append(first)
+    bounds, j = [], len(counts)
+    while j:
+        bounds.append(counts[j - 1])
+        j = start[j]
+    return bounds[::-1]
+
+
+def _group_forward(
+    networks: Sequence[SetQNetwork], batches: Sequence[tuple[list[StateMatrix], np.ndarray]]
+) -> Tensor:
+    """``(N, B, rows)`` values of N networks, each on the distinct states of its batch.
+
+    ``batches[i]`` is :func:`~repro.core.state.distinct_states` of network
+    ``i``'s batch as sampled: its distinct states and where each sampled
+    entry went.  A lone network runs its own
+    :meth:`SetQNetwork.forward_batch` once per row-count bucket that
+    :func:`row_buckets` picks from the sampled row counts (so a batch and a
+    copy sharing no state split alike) and places each bucket's values at
+    its states' positions, zero beyond the bucket's width.  A state's
+    values are those of its bucket's call alone, bit for bit: the value
+    head's per-item product keeps a row's bits independent of the other
+    states in a call (see ``nn.Linear.forward``).  A uniform batch is one
+    call.  A group stacks the networks' parameters; its lists share
+    one state shape, and shorter lists are padded along the batch axis with
+    all-masked states, which only adds GEMM rows and leaves every real
+    row's bits unchanged (M-invariance, pinned for M >= 2 by
     ``tests/core/test_stacked_equivalence.py``).  The values are a graph
     tensor while gradients are enabled.
     """
+    graph = is_grad_enabled()
     if len(networks) == 1:
-        values = networks[0].forward_batch(state_lists[0])
-        return values.reshape((1,) + values.shape)
+        network, (states, inverse) = networks[0], batches[0]
+        rows = np.array([state.matrix.shape[0] for state in states])
+        bounds = row_buckets(rows[inverse], network.hidden_dim, graph)
+        if len(bounds) == 1:
+            values = network.forward_batch(states)
+            return values.reshape((1,) + values.shape)
+        bucket = np.searchsorted(bounds, np.maximum(rows, 1))
+        members = [np.flatnonzero(bucket == b) for b in range(len(bounds))]
+        pieces = [network.forward_batch([states[i] for i in index]) for index in members]
+        return Tensor.assemble(pieces, members, (len(states), bounds[-1])).reshape(
+            (1, len(states), bounds[-1])
+        )
     dtype = networks[0].dtype
-    padded = [pad_state_batch(states, dtype=dtype) for states in state_lists]
+    padded = [pad_state_batch(states, dtype=dtype) for states, _ in batches]
     longest = max(len(batch) for batch, _ in padded)
     batch = np.zeros((len(padded), longest) + padded[0][0].shape[1:], dtype=dtype)
     mask = np.ones(batch.shape[:-1], dtype=bool)
     for i, (states_batch, states_mask) in enumerate(padded):
         batch[i, : len(states_batch)] = states_batch
         mask[i, : len(states_mask)] = states_mask
-    graph = is_grad_enabled()
     params = stack_parameters(
         [network.parameter_map if graph else network.parameter_arrays() for network in networks]
     )
@@ -194,7 +258,7 @@ def _distinct_values(
 ) -> list[np.ndarray]:
     """Graph-free values of each network on its list, scoring each distinct state once."""
     distinct = [distinct_states(states) for states in state_lists]
-    values = _group_forward(networks, [unique for unique, _ in distinct]).numpy()
+    values = _group_forward(networks, distinct).numpy()
     return [values[i, inverse] for i, (_, inverse) in enumerate(distinct)]
 
 
@@ -215,7 +279,8 @@ def bellman_targets(
     distinct branch objects once (:func:`~repro.core.state.distinct_states`),
     which only shrinks the GEMM row count.  Jobs whose networks share one
     architecture and whose branches share one shape make one stacked call
-    per network role (:func:`_group_forward`).  Matches the per-transition
+    per network role, and a lone job's ragged branches split into row-count
+    buckets (:func:`_group_forward`).  Matches the per-transition
     reference in ``tests/core/reference.py`` to float tolerance.
     """
     collected = [TargetBranches.collect(learner, transitions) for learner, transitions in jobs]
@@ -271,7 +336,7 @@ def gradient_updates(jobs: Sequence[UpdateJob]) -> list[TrainStepReport]:
         members = [jobs[i] for i in group]
         dtype = members[0].learner.online.dtype
         values = _group_forward(
-            [job.learner.online for job in members], [distinct[i][0] for i in group]
+            [job.learner.online for job in members], [distinct[i] for i in group]
         )
         # One gather and one loss graph for the group.  Per job this is the
         # one-job chain bit for bit: the advanced-index gather scatters one
@@ -345,8 +410,8 @@ class DoubleDQNLearner:
         The one-job call of :func:`bellman_targets` (through
         :meth:`td_targets_batch`) and :func:`gradient_updates`: every target
         comes from two batched forwards, and every prediction plus the
-        weighted loss form **one** autograd graph over a padded
-        ``(B, rows, dim)`` batch of the distinct sampled states.  Numerically
+        weighted loss form **one** autograd graph over the distinct sampled
+        states, padded per row-count bucket.  Numerically
         it matches the per-sample reference in ``tests/core/reference.py``
         (same RNG draws, same targets to float tolerance).
 

@@ -23,9 +23,10 @@ only choose the parameters:
 * :class:`SetQNetwork` passes zero-copy ``N = 1`` views of its own
   parameters — :class:`~repro.nn.Tensor` views build the training graph,
   plain-array views run inference with no graph nodes;
-* lockstep replicas (:mod:`repro.core.vectorized`) stack N networks'
-  parameters (:func:`stack_parameters`; ``Tensor.stack``'s backward hands
-  each network its own gradient slice);
+* the train step (:func:`repro.core.learner._group_forward`) stacks the
+  parameters of N learners' networks whose batches share one shape, as
+  lockstep replicas do (:func:`stack_parameters`; ``Tensor.stack``'s
+  backward hands each network its own gradient slice);
 * an async snapshot (:class:`repro.core.trainer.SnapshotNetwork`) passes
   ``N = 1`` views into its copy of the optimiser's flat buffer.
 
@@ -74,7 +75,9 @@ def pad_state_batch(
     the returned boolean mask of shape ``(B, rows)`` marks padding rows —
     both rows added here and rows that were already padding inside a state.
     ``dtype`` is the batch's floating dtype (the owning network's compute
-    precision).
+    precision).  Decisions pad a whole batch; a train step's ragged batch
+    is padded one row-count bucket at a time
+    (:func:`repro.core.learner.row_buckets`).
     """
     if not states:
         raise ValueError("pad_state_batch requires at least one state")

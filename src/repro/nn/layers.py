@@ -188,10 +188,12 @@ class Linear(Module):
         # tail over the last ``M % width`` rows, so collapsing would make the
         # tail rows' bits depend on the *total* batch size.  Keeping the N-D
         # per-batch-item product makes every row batch-slice stable, which
-        # the lockstep target forward relies on when it pads a replica's
-        # branch batch with dummy states (see :mod:`repro.core.vectorized`);
-        # the loop of tiny ``(rows, K) @ (K, 1)`` products is cheap next to
-        # the hidden-layer GEMMs.
+        # the train step's forwards rely on (``repro.core.learner._group_forward``):
+        # a fused group pads shorter batches with dummy states, and a ragged
+        # batch runs one call per row-count bucket; the Q-network's own
+        # value head (``repro.core.qnetwork._linear``) keeps the same
+        # product.  The loop of tiny ``(rows, K) @ (K, 1)`` products is cheap
+        # next to the hidden-layer GEMMs.
         lead = x.shape[:-1]
         collapse = x.ndim > 2 and self.out_features > 1
         if collapse:

@@ -629,6 +629,27 @@ class Tensor:
         anchor = tensors[0]
         return anchor._make_child(data, tuple(tensors), backward)
 
+    @staticmethod
+    def assemble(
+        pieces: Sequence["Tensor"], rows: Sequence[np.ndarray], shape: tuple[int, ...]
+    ) -> "Tensor":
+        """A zero tensor of ``shape`` whose rows ``rows[k]`` begin with ``pieces[k]``.
+
+        Piece ``k`` has one entry per index in ``rows[k]`` along axis 0 and
+        at most ``shape[1]`` columns; it fills the leading columns of those
+        rows and the rest stay zero.  Each piece's gradient is the block of
+        the output gradient it filled.
+        """
+        data = np.zeros(shape, dtype=pieces[0].data.dtype)
+        for piece, index in zip(pieces, rows):
+            data[index, : piece.data.shape[1]] = piece.data
+
+        def backward(grad: np.ndarray) -> None:
+            for piece, index in zip(pieces, rows):
+                piece._accumulate(grad[index, : piece.data.shape[1]], fresh=True)
+
+        return pieces[0]._make_child(data, tuple(pieces), backward)
+
     def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
         """Return a tensor equal to ``self`` where ``mask`` is False and ``value`` elsewhere."""
         mask = np.asarray(mask, dtype=bool)

@@ -6,6 +6,7 @@ performance change: every result has to match the per-sample reference path
 to float tolerance (≤ 1e-9), with the same RNG draws.
 """
 
+import contextlib
 import copy
 
 import numpy as np
@@ -21,7 +22,10 @@ from repro.core import (
     Transition,
     pad_state_batch,
 )
+from repro.core.learner import _group_forward, row_buckets
+from repro.core.state import distinct_states
 from repro.crowd import FeatureSchema
+from repro.nn import no_grad
 from tests.core.reference import td_target, train_step_unbatched
 
 TOL = 1e-9
@@ -86,6 +90,42 @@ def build_learner_and_shared_memory(schema, transformer, seed=7, feedbacks=30):
         reward = float(rng.random())
         actions = rng.permutation(state.num_tasks)[: int(rng.integers(1, 4))]
         for k, action in enumerate(actions):
+            memory.push(
+                Transition(
+                    state=state,
+                    action_index=int(action),
+                    reward=reward if k == 0 else 0.0,
+                    future_states=branches,
+                )
+            )
+    return learner, memory
+
+
+def build_learner_and_bimodal_memory(
+    schema, transformer, seed=7, feedbacks=60, hidden_dim=64, batch_size=64
+):
+    """A ``learn``-shaped memory: states of 1-5 or 14-20 rows, stored as the framework stores.
+
+    Each feedback is one to three sibling transitions over one ``state``
+    object and one ``future_states`` list, and each branch keeps its state's
+    row count, its expired tasks turned into padding rows
+    (``StateMatrix.without_tasks``).
+    """
+    network = SetQNetwork(transformer.row_dim, hidden_dim=hidden_dim, num_heads=4, seed=3)
+    learner = DoubleDQNLearner(
+        network, gamma=0.5, batch_size=batch_size, target_sync_interval=4
+    )
+    memory = PrioritizedReplayMemory(capacity=500, seed=seed)
+    rng = np.random.default_rng(seed)
+    for i in range(feedbacks):
+        rows = int(rng.integers(1, 6) if rng.random() < 0.6 else rng.integers(14, 21))
+        state = random_state(schema, transformer, rows, 100 + i)
+        branches = [
+            (1.0 / 3, state.without_tasks(set(rng.permutation(rows)[: int(rng.integers(0, rows))])))
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        reward = float(rng.random())
+        for k, action in enumerate(rng.permutation(rows)[: int(rng.integers(1, 4))]):
             memory.push(
                 Transition(
                     state=state,
@@ -323,6 +363,106 @@ class TestTrainStepEquivalence:
         transitions, _, _ = memory.sample(8)
         targets = learner.td_targets_batch(transitions)
         np.testing.assert_allclose(targets, [t.reward for t in transitions], atol=TOL)
+
+
+class TestRowCountBuckets:
+    """A lone learner's ragged train-step forwards split into row-count buckets."""
+
+    @staticmethod
+    def spy_forwards(monkeypatch) -> list:
+        forwarded = []
+        forward_batch = SetQNetwork.forward_batch
+
+        def spy(network, states):
+            forwarded.append((network, len(states)))
+            return forward_batch(network, states)
+
+        monkeypatch.setattr(SetQNetwork, "forward_batch", spy)
+        return forwarded
+
+    def test_split_targets_match_reference_and_an_unshared_copy(self, schema, monkeypatch):
+        """Buckets follow the batch as sampled, so a copy sharing no state splits alike."""
+        transformer = StateTransformer(schema)
+        learner, memory = build_learner_and_bimodal_memory(schema, transformer)
+        forwarded = self.spy_forwards(monkeypatch)
+        for _ in range(10):
+            transitions, _, _ = memory.sample(learner.batch_size)
+            unshared = [copy.deepcopy(transition) for transition in transitions]
+            branches = [
+                state for t in transitions for _, state in t.future_states if state.num_tasks
+            ]
+            distinct = {id(state) for state in branches}
+            assert len(distinct) < len(branches), "the sample should repeat branch objects"
+
+            forwarded.clear()
+            learner.invalidate_target_cache()
+            shared_targets = learner.td_targets_batch(transitions)
+            for role in (learner.target, learner.online):
+                sizes = [size for network, size in forwarded if network is role]
+                assert len(sizes) > 1, "expected a split forward"
+                assert sum(sizes) == len(distinct)
+
+            forwarded.clear()
+            unshared_targets = learner.td_targets_batch(unshared)
+            for role in (learner.target, learner.online):
+                sizes = [size for network, size in forwarded if network is role]
+                assert sum(sizes) == len(branches)
+            assert np.array_equal(shared_targets, unshared_targets)
+            scalar = np.array([td_target(learner, t) for t in transitions])
+            np.testing.assert_allclose(shared_targets, scalar, atol=TOL)
+            np.testing.assert_allclose(unshared_targets, scalar, atol=TOL)
+
+    def test_split_train_step_matches_unbatched_reference(self, schema, monkeypatch):
+        transformer = StateTransformer(schema)
+        forwarded = self.spy_forwards(monkeypatch)
+        TestTrainStepEquivalence.assert_steps_match_reference(
+            lambda: build_learner_and_bimodal_memory(schema, transformer)
+        )
+        # The reference scores state by state, so every call seen is the
+        # batched step's; six steps with one call per role would make <= 18.
+        assert len(forwarded) > 18, "expected split forwards"
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_each_state_gets_its_bucket_calls_values(self, schema, graph):
+        transformer = StateTransformer(schema)
+        learner, memory = build_learner_and_bimodal_memory(schema, transformer)
+        transitions, _, _ = memory.sample(learner.batch_size)
+        unique, inverse = distinct_states([t.state for t in transitions])
+        rows = np.array([state.matrix.shape[0] for state in unique])
+        network = learner.online
+        with contextlib.nullcontext() if graph else no_grad():
+            bounds = row_buckets(rows[inverse], network.hidden_dim, graph)
+            assert len(bounds) > 1, "expected a split"
+            values = _group_forward([network], [(unique, inverse)])
+            assert values.requires_grad == graph
+            low = 0
+            for bound in bounds:
+                members = np.flatnonzero((rows > low) & (rows <= bound))
+                alone = network.forward_batch([unique[i] for i in members]).numpy()
+                assert alone.shape == (len(members), bound)
+                assert np.array_equal(values.numpy()[0, members, :bound], alone)
+                low = bound
+
+    def test_uniform_and_serve_shaped_batches_take_one_call(self, schema, monkeypatch):
+        for graph in (False, True):
+            # A fixed max_tasks pads every state to one shape: one bucket at any width.
+            assert row_buckets(np.full(64, 12), 64, graph) == [12]
+            # A serve tenant (hidden 16, batch 8, up to three branches per
+            # transition) at the widest spread: half its states 1 row, half 20.
+            for count in (8, 24):
+                assert row_buckets(np.repeat([1, 20], count // 2), 16, graph) == [20]
+        fixed = StateTransformer(schema, max_tasks=20)
+        uniform, uniform_memory = build_learner_and_bimodal_memory(schema, fixed)
+        serve, serve_memory = build_learner_and_bimodal_memory(
+            schema, StateTransformer(schema), hidden_dim=16, batch_size=8
+        )
+        forwarded = self.spy_forwards(monkeypatch)
+        for learner, memory in ((uniform, uniform_memory), (serve, serve_memory)):
+            forwarded.clear()
+            learner.train_step(memory)
+            assert [network for network, _ in forwarded] == [
+                learner.target, learner.online, learner.online
+            ]
 
 
 class TestVectorizedSumTree:

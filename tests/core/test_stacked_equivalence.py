@@ -378,10 +378,10 @@ class TestFusedTrainSteps:
             sampled.extend([id(t.state) for t in job.transitions] for job in jobs)
             return update(jobs)
 
-        def forward_spy(networks, state_lists):
+        def forward_spy(networks, batches):
             if len(networks) > 1 and is_grad_enabled():
-                fused_groups.append([[id(state) for state in states] for states in state_lists])
-            return group_forward(networks, state_lists)
+                fused_groups.append([[id(state) for state in states] for states, _ in batches])
+            return group_forward(networks, batches)
 
         monkeypatch.setattr(vectorized, "gradient_updates", update_spy)
         monkeypatch.setattr(learner_module, "_group_forward", forward_spy)

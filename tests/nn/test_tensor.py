@@ -184,6 +184,16 @@ class TestReductionsAndShapes:
         np.testing.assert_allclose(a.grad, [1.0, 1.0])
         np.testing.assert_allclose(b.grad, [1.0, 1.0])
 
+    def test_assemble_places_pieces_and_routes_their_gradients(self):
+        a = Tensor([[1.0], [2.0]], requires_grad=True)
+        b = Tensor([[3.0, 4.0, 5.0]], requires_grad=True)
+        out = Tensor.assemble([a, b], [np.array([0, 2]), np.array([1])], (3, 3))
+        np.testing.assert_array_equal(out.numpy(), [[1, 0, 0], [3, 4, 5], [2, 0, 0]])
+        weights = np.arange(9.0).reshape(3, 3)
+        (out * Tensor(weights)).sum().backward()
+        np.testing.assert_array_equal(a.grad, [[0.0], [6.0]])
+        np.testing.assert_array_equal(b.grad, [[3.0, 4.0, 5.0]])
+
 
 class TestNonlinearities:
     def test_relu_forward_and_gradient(self):
