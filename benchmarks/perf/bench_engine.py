@@ -48,6 +48,7 @@ from repro.core import (
 from repro.crowd import FeatureSchema
 from repro.nn import Adam, Tensor
 from repro.nn import threads as nn_threads
+from tests.core.reference import sumtree_find, sumtree_update
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_engine.json"
 
@@ -411,7 +412,7 @@ def bench_adam_flat(
 
 
 def bench_replay_update(config: BenchConfig) -> tuple[float, float]:
-    """Scalar ``SumTree.update`` loop vs one ``update_batch`` call."""
+    """Scalar per-leaf update walks vs one ``update_batch`` call."""
     rng = np.random.default_rng(0)
     indices = rng.integers(0, config.tree_capacity, size=config.tree_updates)
     priorities = rng.random(config.tree_updates) * 5.0
@@ -420,7 +421,7 @@ def bench_replay_update(config: BenchConfig) -> tuple[float, float]:
 
     def before():
         for index, priority in zip(indices, priorities):
-            tree_before.update(int(index), float(priority))
+            sumtree_update(tree_before, int(index), float(priority))
 
     def after():
         tree_after.update_batch(indices, priorities)
@@ -446,7 +447,7 @@ def bench_replay_sample(config: BenchConfig, schema, transformer) -> tuple[float
         priorities = np.empty(count, dtype=np.float64)
         for slot in range(count):
             target = memory.rng.uniform(slot * segment, (slot + 1) * segment)
-            index = min(memory._tree.find(target), len(memory) - 1)
+            index = min(sumtree_find(memory._tree, target), len(memory) - 1)
             indices[slot] = index
             priorities[slot] = max(memory._tree.get(index), 1e-12)
         probabilities = priorities / total

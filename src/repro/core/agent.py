@@ -94,10 +94,6 @@ class DQNAgent:
         """Q values of the real tasks in ``state`` under the online network."""
         return self.network.q_values(state)
 
-    def q_values_batch(self, states: list[StateMatrix]) -> list[np.ndarray]:
-        """Per-state Q value arrays for a list of states, in one padded forward."""
-        return self.network.q_values_batch(states)
-
     def store(self, transition: Transition) -> None:
         """Add a transition to the replay memory (no training)."""
         self.memory.push(transition)

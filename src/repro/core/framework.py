@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .aggregator import QValueAggregator
 from .explorer import EpsilonGreedyExplorer, GaussianPerturbationExplorer
 from .interfaces import ArrangementPolicy
 from .predictor import FutureStatePredictorR, FutureStatePredictorW
-from .qnetwork import score_states
+from .qnetwork import QScorer, q_forward, score_states, stack_parameters
 from .replay import Transition
 from .state import StateMatrix, StateTransformer
 from .trainer import AsyncTrainer, SyncTrainer, TrainerLoop
@@ -42,6 +43,7 @@ __all__ = [
     "TaskArrangementFramework",
     "CHECKPOINT_FORMAT",
     "migrate_config_tree",
+    "rank_arrivals",
 ]
 
 #: Format tag written into (and required from) full-framework checkpoints.
@@ -204,8 +206,6 @@ class TaskArrangementFramework(ArrangementPolicy):
     def _derive_name(self) -> str:
         if self.config.use_worker_mdp and self.config.use_requester_mdp:
             return f"DDQN(w={self.config.worker_weight:g})"
-        if self.config.use_worker_mdp:
-            return "DDQN"
         return "DDQN"
 
     def _build_components(self) -> None:
@@ -296,22 +296,11 @@ class TaskArrangementFramework(ArrangementPolicy):
     # ArrangementPolicy API
     # ------------------------------------------------------------------ #
     def rank_tasks(self, context: ArrivalContext) -> list[int]:
-        """Score the pool with both Q-networks and return the ranked task ids."""
-        if not context.available_tasks:
-            return []
-        self.trainer.before_decision()
-        state_w, state_r = self._build_states(context)
-        worker_q = (
-            self.trainer.scorer(self.agent_w).q_values(state_w)
-            if self.agent_w is not None
-            else None
-        )
-        requester_q = (
-            self.trainer.scorer(self.agent_r).q_values(state_r)
-            if self.agent_r is not None
-            else None
-        )
-        return self._decide(context, state_w, state_r, worker_q, requester_q)
+        """Score the pool with both Q-networks and return the ranked task ids.
+
+        The one-pair call of :func:`rank_arrivals`, the one decision path.
+        """
+        return rank_arrivals([(self, context)])[0]
 
     def rank_tasks_batch(self, contexts) -> list[list[int]]:
         """Rank several independent arrivals with one padded forward per agent.
@@ -553,11 +542,7 @@ class TaskArrangementFramework(ArrangementPolicy):
                 break
             if task_id in id_to_index:
                 skipped.append(id_to_index[task_id])
-        if not feedback.completed:
-            skipped = skipped[: self.config.max_failed_transitions]
-        else:
-            skipped = skipped[: self.config.max_failed_transitions]
-        pairs.extend((index, False) for index in skipped)
+        pairs.extend((index, False) for index in skipped[: self.config.max_failed_transitions])
         return pairs
 
     def _worker_transitions(
@@ -788,3 +773,55 @@ class TaskArrangementFramework(ArrangementPolicy):
             schema,
             replace(base, use_worker_mdp=True, use_requester_mdp=True, worker_weight=worker_weight),
         )
+
+
+def rank_arrivals(
+    pairs: Sequence[tuple[TaskArrangementFramework, ArrivalContext]]
+) -> list[list[int]]:
+    """Rank one arrival per framework: the one decision path.
+
+    :meth:`TaskArrangementFramework.rank_tasks` is its one-pair call and
+    :func:`repro.core.vectorized.decide_lockstep` its N-pair call.  An
+    arrival with no available task ranks ``[]`` and touches nothing.  Every
+    other framework runs its trainer's ``before_decision`` hook (a snapshot
+    refresh or handoff barrier for async-trained frameworks) and builds its
+    states, and each agent scores on its trainer's scorer.  Scorings whose
+    architecture and state shape match share one stacked
+    :func:`~repro.core.qnetwork.q_forward` call, whose slices are
+    bit-identical to the ``q_values`` call a lone scoring makes.
+    Aggregation, exploration noise, pending-decision bookkeeping and
+    annealing then run per framework on its own RNG, in order.
+    """
+    rankings: list[list[int]] = [[] for _ in pairs]
+    live = [slot for slot, (_, context) in enumerate(pairs) if context.available_tasks]
+    for slot in live:
+        pairs[slot][0].trainer.before_decision()
+    states = {slot: pairs[slot][0]._build_states(pairs[slot][1]) for slot in live}
+    groups: dict[tuple, list[tuple[int, int, QScorer, StateMatrix]]] = {}
+    for slot in live:
+        framework = pairs[slot][0]
+        agents = (framework.agent_w, framework.agent_r)
+        for role, (agent, state) in enumerate(zip(agents, states[slot])):
+            if agent is not None:
+                scorer = framework.trainer.scorer(agent)
+                key = (scorer.signature, state.matrix.shape)
+                groups.setdefault(key, []).append((slot, role, scorer, state))
+    scores: dict[int, list[np.ndarray | None]] = {slot: [None, None] for slot in live}
+    for group in groups.values():
+        if len(group) == 1:
+            slot, role, scorer, state = group[0]
+            scores[slot][role] = scorer.q_values(state)
+            continue
+        first = group[0][2]
+        raw = q_forward(
+            stack_parameters([scorer.parameter_arrays() for _, _, scorer, _ in group]),
+            np.array([[state.matrix] for *_, state in group], dtype=first.dtype),
+            np.array([[state.mask] for *_, state in group]),
+            first.num_heads,
+        )
+        for (slot, role, _, state), values in zip(group, raw):
+            scores[slot][role] = values[0, : state.num_tasks].copy()
+    for slot in live:
+        framework, context = pairs[slot]
+        rankings[slot] = framework._decide(context, *states[slot], *scores[slot])
+    return rankings

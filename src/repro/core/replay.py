@@ -6,6 +6,12 @@ experience replay** [25] (Sec. IV-D).  Because the framework predicts future
 states explicitly, a stored transition carries a *distribution* over future
 states — a small list of ``(probability, StateMatrix)`` branches produced by
 the predictor — rather than a single successor.
+
+A prioritized draw is written once, in :func:`sample_fused`, over M memories
+at a time: their stratified targets descend their stacked SumTrees together,
+and :meth:`PrioritizedReplayMemory.sample` is its one-memory call.  Likewise
+a store is written once, in :meth:`PrioritizedReplayMemory.push_batch`, and
+``push`` is its one-transition call.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ __all__ = [
     "ReplayMemory",
     "PrioritizedReplayMemory",
     "SumTree",
+    "find_leaves",
     "sample_fused",
 ]
 
@@ -210,37 +217,20 @@ class SumTree:
         """Sum of all stored priorities."""
         return float(self._tree[1])
 
-    def update(self, index: int, priority: float) -> None:
-        """Set the priority of leaf ``index``.
-
-        Ancestors are recomputed as the sum of their children — never
-        maintained with ``+= delta`` — so every internal node is a pure
-        function of the current leaves.  This keeps the tree bit-identical
-        across maintenance orders: incremental updates, :meth:`update_batch`
-        and a checkpoint-restore rebuild from the leaves all agree exactly,
-        which run-state resume relies on (a delta-maintained root drifts by
-        ulps from the rebuilt one and perturbs stratified sampling).
-        """
-        if not 0 <= index < self.capacity:
-            raise IndexError(f"leaf index {index} out of range [0, {self.capacity})")
-        if priority < 0:
-            raise ValueError("priorities must be non-negative")
-        node = index + self._leaf_count
-        self._tree[node] = priority
-        node //= 2
-        while node >= 1:
-            self._tree[node] = self._tree[2 * node] + self._tree[2 * node + 1]
-            node //= 2
-
     def update_batch(self, indices: np.ndarray, priorities: np.ndarray) -> None:
         """Set many leaf priorities at once.
 
         Leaves are written directly and the ancestor sums are rebuilt with
-        one vectorized level-by-level propagation (each parent is recomputed
-        as the sum of its two children), so a batch of ``k`` updates costs
-        ``O(log n)`` numpy calls instead of ``k`` Python tree walks.
-        Duplicate indices behave like sequential scalar updates: the last
-        value wins.
+        one vectorized level-by-level propagation, so a batch of ``k``
+        updates costs ``O(log n)`` numpy calls instead of ``k`` Python tree
+        walks.  Duplicate indices behave like sequential updates: the last
+        value wins.  Ancestors are recomputed as the sum of their children —
+        never maintained with ``+= delta`` — so every internal node is a pure
+        function of the current leaves.  This keeps the tree bit-identical
+        across maintenance orders: one-leaf updates, batches and a
+        checkpoint-restore rebuild from the leaves all agree exactly, which
+        run-state resume relies on (a delta-maintained root drifts by ulps
+        from the rebuilt one and perturbs stratified sampling).
         """
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         priorities = np.asarray(priorities, dtype=np.float64).reshape(-1)
@@ -253,18 +243,20 @@ class SumTree:
         if priorities.min() < 0:
             raise ValueError("priorities must be non-negative")
         if indices.size <= 8:
-            # Small batches: python sets beat repeated np.unique fixed costs.
-            # Leaf writes happen in order (last write wins) and every parent
-            # is recomputed as the sum of its children — bit-identical to the
-            # vectorized propagation below.
+            # Small batches (one push, a small replay batch's priorities): a
+            # walk from each leaf to the root beats the fixed costs of the
+            # vectorized rounds below.  Leaf writes happen in order (last
+            # write wins), and the last walk through a node follows the last
+            # write below it, so every parent ends as the sum of its final
+            # children — bit-identical to the vectorized propagation.
             tree = self._tree
-            for index, priority in zip(indices, priorities):
-                tree[int(index) + self._leaf_count] = priority
-            level = {(int(index) + self._leaf_count) // 2 for index in indices}
-            while level and next(iter(level)) >= 1:
-                for node in level:
+            for index, priority in zip(indices.tolist(), priorities.tolist()):
+                node = index + self._leaf_count
+                tree[node] = priority
+                node //= 2
+                while node >= 1:
                     tree[node] = tree[2 * node] + tree[2 * node + 1]
-                level = {node // 2 for node in level} - {0}
+                    node //= 2
             return
         # Keep only the last occurrence of each index (last write wins):
         # first occurrence in the reversed array = last occurrence overall.
@@ -283,42 +275,6 @@ class SumTree:
     def get_batch(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`get` for an array of leaf indices."""
         return self._tree[np.asarray(indices, dtype=np.int64) + self._leaf_count]
-
-    def find(self, value: float) -> int:
-        """Return the leaf index whose cumulative priority range contains ``value``."""
-        node = 1
-        while node < self._leaf_count:
-            left = 2 * node
-            if value <= self._tree[left] or self._tree[left + 1] <= 0.0:
-                node = left
-            else:
-                value -= self._tree[left]
-                node = left + 1
-        return node - self._leaf_count
-
-    def find_batch(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`find`: descend all queries one tree level at a time.
-
-        The tree is complete, so every query sits at the same depth and the
-        descent is ``log2(leaf_count)`` rounds of vectorized comparisons.
-        """
-        values = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-        nodes = np.ones(values.shape, dtype=np.int64)
-        if values.size == 0:
-            return nodes
-        if values.size <= 8:
-            # Small batches (tiny replay batches, one per replica in
-            # episode-vectorized runs): the scalar walk beats the fixed cost
-            # of log2(n) vectorized rounds, with identical comparisons and
-            # identical results.
-            return np.array([self.find(float(value)) for value in values], dtype=np.int64)
-        while nodes[0] < self._leaf_count:
-            left = 2 * nodes
-            left_sums = self._tree[left]
-            go_left = (values <= left_sums) | (self._tree[left + 1] <= 0.0)
-            nodes = np.where(go_left, left, left + 1)
-            values = np.where(go_left, values, values - left_sums)
-        return nodes - self._leaf_count
 
 
 class PrioritizedReplayMemory:
@@ -359,26 +315,17 @@ class PrioritizedReplayMemory:
 
     def push(self, transition: Transition) -> None:
         """Insert with maximal priority so new transitions are replayed soon."""
-        priority = self._max_priority**self.alpha
-        if len(self._storage) < self.capacity:
-            index = len(self._storage)
-            self._storage.append(transition)
-        else:
-            index = self._cursor
-            self._storage[index] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
-        self._tree.update(index, priority)
+        self.push_batch([transition])
 
     def push_batch(self, transitions: list[Transition]) -> None:
-        """Insert several transitions, bit-identical to repeated :meth:`push`.
+        """Insert several transitions in order, each at maximal priority.
 
-        Every push enters at the same priority (``max_priority**alpha`` never
-        changes during pushes), so the tree work of the whole batch collapses
-        into one :meth:`SumTree.update_batch` call.  Because every internal
-        node is a pure function of the leaves (each parent recomputed as the
-        sum of its children), the batched rebuild matches the scalar walks
-        exactly — including when a batch larger than the remaining ring
-        revisits a leaf, where last-write-wins equals sequential updates.
+        Every transition enters at the same priority (``max_priority**alpha``
+        never changes during pushes), so the tree work of the whole batch is
+        one :meth:`SumTree.update_batch` call.  Because every internal node
+        is a pure function of the leaves, a batch leaves the same tree as
+        pushing its transitions one at a time — including when a batch larger
+        than the remaining ring revisits a leaf, where the last write wins.
         """
         if not transitions:
             return
@@ -396,25 +343,13 @@ class PrioritizedReplayMemory:
         self._tree.update_batch(indices, np.full(indices.size, priority, dtype=np.float64))
 
     def sample(self, batch_size: int) -> tuple[list[Transition], np.ndarray, np.ndarray]:
-        """Priority-proportional sample with importance-sampling weights."""
+        """Priority-proportional sample with importance-sampling weights.
+
+        The one-memory call of :func:`sample_fused`.
+        """
         if not self._storage:
             raise ValueError("cannot sample from an empty replay memory")
-        count = min(batch_size, len(self._storage))
-        total = self._tree.total
-        segment = total / count
-        # One vectorized draw per stratification segment (same RNG stream as
-        # the former per-slot scalar draws), then a batched tree descent.
-        lows = np.arange(count, dtype=np.float64) * segment
-        targets = self.rng.uniform(lows, lows + segment)
-        indices = np.minimum(self._tree.find_batch(targets), len(self._storage) - 1)
-        priorities = np.maximum(self._tree.get_batch(indices), 1e-12)
-
-        probabilities = priorities / total
-        weights = (len(self._storage) * probabilities) ** (-self.beta)
-        weights /= weights.max()
-        self.beta = min(1.0, self.beta + self.beta_increment)
-        transitions = [self._storage[int(i)] for i in indices]
-        return transitions, indices, weights
+        return sample_fused([self], batch_size)[0]
 
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
         """Refresh priorities with the latest absolute TD errors (batched)."""
@@ -463,65 +398,72 @@ class PrioritizedReplayMemory:
         self.rng.bit_generator.state = state["rng_state"]
 
 
+def find_leaves(trees: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The leaf of each tree whose cumulative priority range holds each value.
+
+    ``trees`` stacks M same-depth :class:`SumTree` arrays ``(M, tree)`` and
+    ``values`` holds one row of queries per tree ``(M, k)``.  The tree is
+    complete, so every query descends one level per round: left when it fits
+    in the left subtree's sum (or the right subtree is empty), else right
+    after subtracting that sum.  Every operation is elementwise, so a row's
+    leaves do not depend on the other rows.
+    """
+    leaf_count = trees.shape[1] // 2
+    nodes = np.ones(values.shape, dtype=np.int64)
+    rows = np.arange(len(trees))[:, np.newaxis]
+    while nodes[0, 0] < leaf_count:
+        left = 2 * nodes
+        left_sums = trees[rows, left]
+        go_left = (values <= left_sums) | (trees[rows, left + 1] <= 0.0)
+        nodes = np.where(go_left, left, left + 1)
+        values = np.where(go_left, values, values - left_sums)
+    return nodes - leaf_count
+
+
 def sample_fused(
     memories: list, batch_size: int
 ) -> list[tuple[list[Transition], np.ndarray, np.ndarray]]:
-    """Sample many replay memories at once, one fused multi-tree descent.
+    """Draw one replay batch from each memory, one stacked tree descent per group.
 
-    Per-memory results are **bit-identical** to calling ``memory.sample(
-    batch_size)`` on each memory in order: the stratified targets come from
-    each memory's own RNG with the exact serial draw, and the SumTree descent
-    runs the same comparisons/subtractions elementwise — just stacked into
-    ``(M, batch)`` arrays over the ``(M, tree)`` stack of same-depth trees, so
-    M independent ``log2(n)``-round descents cost one round-trip of numpy
-    calls instead of M.  This lifts the serial replay floor of the
-    episode-vectorized trainer and the background trainer thread (the
-    per-memory descents were ~30% of the fused train step at sweep scale).
+    The one prioritized draw: :meth:`PrioritizedReplayMemory.sample` is its
+    one-memory call.  Non-empty prioritized memories group by tree depth and
+    draw size.  Each member takes its stratified targets from its own RNG
+    (one uniform draw per ``total / count`` segment), and the group descends
+    the ``(M, tree)`` stack of its trees in one :func:`find_leaves` call, so
+    M ``log2(n)``-round descents cost one round-trip of numpy calls.  Each
+    memory's leaves, importance weights ``(N * P(i))^-beta`` (normalised by
+    their maximum) and β annealing are the same in any group.  A one-memory
+    group descends a ``(1, tree)`` view of its tree, with no copy.
 
-    Memories that are not prioritized, are differently sized, or land in a
-    singleton group simply take their serial ``sample`` path — same numbers.
+    Uniform memories and empty ones answer through their own ``sample``.
     """
     results: list = [None] * len(memories)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, memory in enumerate(memories):
-        if isinstance(memory, PrioritizedReplayMemory) and len(memory._storage) > 0:
+        if isinstance(memory, PrioritizedReplayMemory) and memory._storage:
             count = min(batch_size, len(memory._storage))
             groups.setdefault((memory._tree._leaf_count, count), []).append(i)
         else:
             results[i] = memory.sample(batch_size)
     for (leaf_count, count), members in groups.items():
-        if len(members) == 1:
-            i = members[0]
-            results[i] = memories[i].sample(batch_size)
-            continue
-        trees = np.stack([memories[i]._tree._tree for i in members])
-        totals = [memories[i]._tree.total for i in members]
+        group = [memories[i] for i in members]
+        if len(group) == 1:
+            trees = group[0]._tree._tree[np.newaxis]
+        else:
+            trees = np.stack([memory._tree._tree for memory in group])
+        totals = [memory._tree.total for memory in group]
         slots = np.arange(count, dtype=np.float64)
-        targets = np.empty((len(members), count), dtype=np.float64)
-        for m, i in enumerate(members):
-            segment = totals[m] / count
+        values = np.empty((len(group), count), dtype=np.float64)
+        for row, (memory, total) in enumerate(zip(group, totals)):
+            segment = total / count
             lows = slots * segment
-            targets[m] = memories[i].rng.uniform(lows, lows + segment)
-        # Fused descent: the per-row operations mirror ``SumTree.find_batch``
-        # (and the scalar ``find`` — identical comparisons either way).
-        values = targets
-        nodes = np.ones((len(members), count), dtype=np.int64)
-        rows = np.arange(len(members))[:, np.newaxis]
-        while nodes[0, 0] < leaf_count:
-            left = 2 * nodes
-            left_sums = trees[rows, left]
-            go_left = (values <= left_sums) | (trees[rows, left + 1] <= 0.0)
-            nodes = np.where(go_left, left, left + 1)
-            values = np.where(go_left, values, values - left_sums)
-        leaves = nodes - leaf_count
-        for m, i in enumerate(members):
-            memory = memories[i]
-            indices = np.minimum(leaves[m], len(memory._storage) - 1)
-            priorities = np.maximum(trees[m, indices + leaf_count], 1e-12)
-            probabilities = priorities / totals[m]
-            weights = (len(memory._storage) * probabilities) ** (-memory.beta)
+            values[row] = memory.rng.uniform(lows, lows + segment)
+        leaves = find_leaves(trees, values)
+        for row, (i, memory, total) in enumerate(zip(members, group, totals)):
+            indices = np.minimum(leaves[row], len(memory._storage) - 1)
+            priorities = np.maximum(trees[row, indices + leaf_count], 1e-12)
+            weights = (len(memory._storage) * (priorities / total)) ** (-memory.beta)
             weights /= weights.max()
             memory.beta = min(1.0, memory.beta + memory.beta_increment)
-            transitions = [memory._storage[int(index)] for index in indices]
-            results[i] = (transitions, indices, weights)
+            results[i] = ([memory._storage[int(index)] for index in indices], indices, weights)
     return results

@@ -1,43 +1,46 @@
-"""Lockstep multi-replica runs: fused decisions, interleaved plans, fused sampling.
+"""Lockstep calls: one decision and one feedback per policy, fused where shapes allow.
 
 The episode-vectorized platform (:mod:`repro.eval.runner`) advances N
-independent replicas — different dataset seeds and/or policy instances — one
-arrival at a time, together.  At every lockstep step the replicas' framework
-policies all need (a) their candidate pools scored and (b) their freshly
-stored transitions trained on.  Both are batchable *across* replicas:
+independent replicas one arrival at a time, together, and hands every
+request of a round to the two calls here, whatever the policy; the serving
+layer (:mod:`repro.serve.batching`) hands :func:`decide_lockstep` the rank
+requests of the tenants that land on the same event-loop tick.
 
-* :func:`decide_lockstep` fuses the N per-replica candidate scorings into
-  one stacked forward per group of same-architecture scorers;
-* :func:`observe_lockstep` interleaves the replicas' training plans
-  position by position, and :func:`fused_train_steps` samples every due
-  agent's replay memory in one fused descent, then runs the one train step
-  of :mod:`repro.core.learner` (:func:`~repro.core.learner.bellman_targets`
-  and :func:`~repro.core.learner.gradient_updates`) over all of them.
+* :func:`decide_lockstep` ranks one arrival per policy.  Frameworks go
+  through :func:`repro.core.framework.rank_arrivals`, the one decision
+  path, whose one-pair call is ``rank_tasks``: it stacks same-architecture,
+  same-shape scorings into one forward.  Any other policy answers with its
+  own ``rank_tasks``.
+* :func:`observe_lockstep` feeds one feedback per policy.  Frameworks that
+  train inline interleave their training plans position by position, and
+  :func:`fused_train_steps` draws every due agent's replay batch through
+  :func:`~repro.core.replay.sample_fused` (the one replay draw, whose
+  one-memory call is ``PrioritizedReplayMemory.sample``), then runs the one
+  train step of :mod:`repro.core.learner` over all of them.  Async-trained
+  frameworks hand their feedback to their trainer thread, and baselines
+  learn, through their own ``observe_feedback``.
 
 Per-replica replay memories, RNG streams, explorer schedules and optimiser
 states remain completely independent — fusion only changes *how many python
-ops and gufunc launches* the work costs, not any number: every forward is
-the one Q-network forward (:func:`repro.core.qnetwork.q_forward`) over the
-replicas' stacked parameters, and each replica's slice of it is
-bit-identical to the ``N = 1`` call the serial path makes, which is what
-keeps a vectorized run float-for-float equal to N serial runs.  Work only
-fuses when shapes allow it (``FrameworkConfig.max_tasks`` pins the row count
-and makes fusion the steady state).
+ops and gufunc launches* the work costs, not any number: each replica's
+slice of a stacked forward is bit-identical to the ``N = 1`` call the
+serial path makes, which is what keeps a vectorized run float-for-float
+equal to N serial runs.  Work only fuses when shapes allow it
+(``FrameworkConfig.max_tasks`` pins the row count and makes fusion the
+steady state).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..crowd.platform import ArrivalContext, Feedback
 from .agent import DQNAgent
-from .framework import TaskArrangementFramework
+from .framework import TaskArrangementFramework, rank_arrivals
+from .interfaces import ArrangementPolicy
 from .learner import UpdateJob, bellman_targets, gradient_updates
-from .qnetwork import QScorer, q_forward, stack_parameters
 from .replay import sample_fused
-from .state import StateMatrix
+from .trainer import SyncTrainer
 
 __all__ = [
     "decide_lockstep",
@@ -50,49 +53,23 @@ __all__ = [
 # Decision path
 # --------------------------------------------------------------------- #
 def decide_lockstep(
-    pairs: Sequence[tuple[TaskArrangementFramework, ArrivalContext]]
+    pairs: Sequence[tuple[ArrangementPolicy, ArrivalContext]]
 ) -> list[list[int]]:
-    """Rank one arrival per framework, fusing the network forwards.
+    """Rank one arrival per policy, each exactly as its ``rank_tasks`` would.
 
-    Equivalent to ``[framework.rank_tasks(context) for ...]`` — each
-    framework's ``before_decision`` hook runs first (a snapshot refresh or
-    handoff barrier for async-trained frameworks), every agent scores on its
-    trainer's :meth:`~repro.core.trainer.TrainerLoop.scorer`, and
-    exploration noise, pending-decision bookkeeping and annealing run per
-    framework on its own RNG, in order; only the (RNG-free) forwards are
-    batched.  Scorings whose architecture and state shape match share one
-    stacked forward; a lone scoring is its ``N = 1`` case, the call
-    ``q_values`` makes.
+    The frameworks among ``pairs`` share one :func:`rank_arrivals` call,
+    which fuses their same-shaped forwards; every other policy answers
+    through its own ``rank_tasks``.  Returns the rankings in pair order.
     """
-    for framework, _ in pairs:
-        framework.trainer.before_decision()
-    states = [framework._build_states(context) for framework, context in pairs]
-    jobs: list[tuple[QScorer, StateMatrix]] = []
-    owners: list[tuple[int, int]] = []
-    for slot, ((framework, _), role_states) in enumerate(zip(pairs, states)):
-        agents = (framework.agent_w, framework.agent_r)
-        for role, (agent, state) in enumerate(zip(agents, role_states)):
-            if agent is not None:
-                jobs.append((framework.trainer.scorer(agent), state))
-                owners.append((slot, role))
-    groups: dict[tuple, list[int]] = {}
-    for index, (scorer, state) in enumerate(jobs):
-        groups.setdefault((scorer.signature, state.matrix.shape), []).append(index)
-    scores: list[list[np.ndarray | None]] = [[None, None] for _ in pairs]
-    for indices in groups.values():
-        group = [jobs[index] for index in indices]
-        raw = q_forward(
-            stack_parameters([scorer.parameter_arrays() for scorer, _ in group]),
-            np.array([[state.matrix] for _, state in group], dtype=group[0][0].dtype),
-            np.array([[state.mask] for _, state in group]),
-            group[0][0].num_heads,
-        )
-        for index, (_, state), values in zip(indices, group, raw):
-            slot, role = owners[index]
-            scores[slot][role] = values[0, : state.num_tasks].copy()
+    fused = [
+        slot
+        for slot, (policy, _) in enumerate(pairs)
+        if isinstance(policy, TaskArrangementFramework)
+    ]
+    rankings = dict(zip(fused, rank_arrivals([pairs[slot] for slot in fused])))
     return [
-        framework._decide(context, state_w, state_r, *scores[slot])
-        for slot, ((framework, context), (state_w, state_r)) in enumerate(zip(pairs, states))
+        rankings[slot] if slot in rankings else policy.rank_tasks(context)
+        for slot, (policy, context) in enumerate(pairs)
     ]
 
 
@@ -130,22 +107,25 @@ def fused_train_steps(agents: Sequence[DQNAgent]) -> None:
 
 
 def observe_lockstep(
-    items: Sequence[tuple[TaskArrangementFramework, ArrivalContext, list[int], Feedback]]
+    items: Sequence[tuple[ArrangementPolicy, ArrivalContext, list[int], Feedback]]
 ) -> None:
-    """Feed one feedback per framework replica, fusing the train steps.
+    """Feed one feedback per policy, each as its ``observe_feedback`` would.
 
-    Equivalent to ``framework.observe_feedback(context, ranked, feedback)``
-    per replica: each replica's (agent, transition) sequence is built by
-    :meth:`TaskArrangementFramework.build_training_plan`, then the sequences
-    are interleaved position-by-position so that every agent still stores
-    transition *j* and (cadence permitting) trains on it before storing
-    transition *j+1* — only the train steps of *different* agents that fall
-    on the same position are fused.
+    A framework that trains inline has its (agent, transition) sequence
+    built by :meth:`TaskArrangementFramework.build_training_plan`; the
+    sequences are interleaved position by position, so that every agent
+    still stores transition *j* and (cadence permitting) trains on it before
+    storing transition *j+1* — only the train steps of *different* agents
+    that fall on the same position are fused.  Every other policy (baselines,
+    and async-trained frameworks, whose trainer thread owns their training)
+    observes through its own ``observe_feedback``.
     """
-    plans = [
-        framework.build_training_plan(context, ranked, feedback)
-        for framework, context, ranked, feedback in items
-    ]
+    plans = []
+    for policy, context, ranked, feedback in items:
+        if isinstance(policy, TaskArrangementFramework) and isinstance(policy.trainer, SyncTrainer):
+            plans.append(policy.build_training_plan(context, ranked, feedback))
+        else:
+            policy.observe_feedback(context, ranked, feedback)
     agent_jobs = [(agent, transitions) for plan in plans for agent, transitions in plan]
     longest = max((len(transitions) for _, transitions in agent_jobs), default=0)
     for position in range(longest):

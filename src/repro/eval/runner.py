@@ -610,8 +610,9 @@ class VectorizedRunner:
     RNG streams and explorer schedules stay per-replica, and every fused
     network call is bit-identical per replica to the serial call it replaces
     (see :mod:`repro.core.vectorized`).  Speed comes from batching the DDQN
-    replicas' candidate scorings and train steps across replicas; baseline
-    policies simply run lockstep.
+    replicas' candidate scorings and train steps across replicas; each round
+    goes through the two lockstep calls whatever the policies are, and
+    baselines simply answer through their own methods there.
 
     Caveat: the per-replica ``mean_decision_seconds`` / ``mean_update_seconds``
     timing fields are measured around the lockstep round, so each replica's
@@ -654,44 +655,11 @@ class VectorizedRunner:
         policies = self.policies
 
         def answer_round(batch):
-            responses: dict[int, object] = {}
             ranks, observes = partition_requests(batch)
-            fused_ranks = [
-                (index, request)
-                for index, request in ranks
-                if isinstance(policies[index], TaskArrangementFramework)
-            ]
-            if fused_ranks:
-                rankings = decide_lockstep(
-                    [(policies[index], request[1]) for index, request in fused_ranks]
-                )
-                for (index, _), ranking in zip(fused_ranks, rankings):
-                    responses[index] = ranking
-            for index, request in ranks:
-                if index not in responses:
-                    responses[index] = policies[index].rank_tasks(request[1])
-            # Async-trained frameworks train through their trainer loop (the
-            # serial fallback below), not the inline fused store/train path.
-            fused_observes = [
-                (index, request)
-                for index, request in observes
-                if isinstance(policies[index], TaskArrangementFramework)
-                and not policies[index].config.async_training
-            ]
-            if fused_observes:
-                observe_lockstep(
-                    [
-                        (policies[index], request[1], request[2], request[3])
-                        for index, request in fused_observes
-                    ]
-                )
-                for index, _ in fused_observes:
-                    responses[index] = None
-            for index, request in observes:
-                if index not in responses:
-                    _, context, presented, feedback = request
-                    policies[index].observe_feedback(context, presented, feedback)
-                    responses[index] = None
+            rankings = decide_lockstep([(policies[index], request[1]) for index, request in ranks])
+            observe_lockstep([(policies[index], *request[1:]) for index, request in observes])
+            responses: dict[int, object] = {index: None for index, _ in observes}
+            responses.update((index, ranking) for (index, _), ranking in zip(ranks, rankings))
             return responses
 
         return VectorizedPlatform(loops).run(answer_round)  # type: ignore[return-value]

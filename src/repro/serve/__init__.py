@@ -17,7 +17,7 @@ endpoint as K worker processes behind a routing front-end
 (:mod:`repro.serve.shard`), bit-identical to a single-process deployment.
 """
 
-from .batching import RankBatcher, decide_batch
+from .batching import RankBatcher
 from .faults import FAULT_SITES, FaultEvent, FaultPlan, FaultSpec, InjectedFault
 from .loadgen import LoadgenError, Resilience, run_loadgen
 from .protocol import (
@@ -75,7 +75,6 @@ __all__ = [
     "Tenant",
     "TenantSpec",
     "checkpoint_phases",
-    "decide_batch",
     "decode_line",
     "encode_line",
     "error_response",

@@ -8,52 +8,25 @@ many gufunc launches the work costs, never any number.
 
 :class:`RankBatcher` collects the tick's requests (``submit`` returns a
 future; the flush runs via ``loop.call_soon``, i.e. after every pump that is
-ready this tick has registered) and answers them through
-:func:`decide_batch`: every framework tenant, synchronously or
-asynchronously trained, goes through the offline
-:func:`repro.core.vectorized.decide_lockstep` path, which scores each agent
-on its trainer's scorer (the live network, or the async snapshot).
-Per-tenant results are bit-identical to the serial ``rank_tasks`` call
-regardless of batch composition (pinned by the vectorized-equivalence
-tests), so batching can never perturb a tenant's trajectory or its
-warm-restart equivalence.  Everything else (baselines) answers serially via
-``rank_tasks``.
+ready this tick has registered) and answers them with one
+:func:`repro.core.vectorized.decide_lockstep` call, which routes every
+policy type: framework tenants, synchronously or asynchronously trained,
+share one call of the one decision path (each agent scores on its trainer's
+scorer: the live network, or the async snapshot), and baselines answer
+through their own ``rank_tasks``.  Per-tenant results are bit-identical to
+the serial ``rank_tasks`` call regardless of batch composition (pinned by
+the vectorized-equivalence tests), so batching can never perturb a tenant's
+trajectory or its warm-restart equivalence.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Sequence
 
-from ..core.framework import TaskArrangementFramework
 from ..core.vectorized import decide_lockstep
 from ..crowd.platform import ArrivalContext
 
-__all__ = ["RankBatcher", "decide_batch"]
-
-
-def decide_batch(entries: Sequence[tuple[object, ArrivalContext]]) -> list[list[int]]:
-    """Answer one tick's rank requests, fusing what the policy types allow.
-
-    ``entries`` holds ``(tenant, context)`` pairs (any object with a
-    ``policy`` attribute works).  Returns the rankings in entry order; every
-    ranking equals the serial ``policy.rank_tasks(context)`` (frameworks:
-    bit-identical; baselines: the serial call itself).
-    """
-    rankings: list[list[int] | None] = [None] * len(entries)
-    fused_slots: list[int] = []
-    for slot, (tenant, context) in enumerate(entries):
-        if isinstance(tenant.policy, TaskArrangementFramework):
-            fused_slots.append(slot)
-        else:
-            rankings[slot] = tenant.policy.rank_tasks(context)
-    if fused_slots:
-        fused = decide_lockstep(
-            [(entries[slot][0].policy, entries[slot][1]) for slot in fused_slots]
-        )
-        for slot, ranking in zip(fused_slots, fused):
-            rankings[slot] = ranking
-    return rankings  # type: ignore[return-value]
+__all__ = ["RankBatcher"]
 
 
 class RankBatcher:
@@ -62,7 +35,8 @@ class RankBatcher:
     ``submit`` registers a request and schedules one flush with
     ``loop.call_soon`` — by the time the flush callback runs, every tenant
     pump that was ready this tick has reached its rank yield and registered,
-    so concurrent arrivals across tenants share one :func:`decide_batch`.
+    so concurrent arrivals across tenants share one
+    :func:`~repro.core.vectorized.decide_lockstep` call.
     Requests arriving alone still flush immediately (a batch of one is the
     serial path).
     """
@@ -92,7 +66,7 @@ class RankBatcher:
         self.requests += len(batch)
         self.max_batch = max(self.max_batch, len(batch))
         try:
-            rankings = decide_batch([(tenant, context) for tenant, context, _ in batch])
+            rankings = decide_lockstep([(tenant.policy, context) for tenant, context, _ in batch])
         except BaseException as error:  # noqa: BLE001 - delivered to the waiters
             for _, _, future in batch:
                 if not future.done():

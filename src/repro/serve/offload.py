@@ -15,13 +15,11 @@ checkpoint path serialized and ordered, so the atomic tmp-then-``os.replace``
 inside :func:`~repro.nn.serialization.save_checkpoint` retains its
 crash-safety story unchanged.
 
-Error propagation has two modes.  With an ``on_result`` callback installed
-(the serving layer's mode), the callback fires from the worker thread as
-soon as each batch lands — ``on_result(None)`` on success,
-``on_result(error)`` on failure — so a failed write degrades the tenant's
-health *promptly* instead of silently serving with a stale checkpoint until
-the next save.  Without a callback (the legacy mode), errors re-raise into
-the caller on the next :meth:`write_many` or at :meth:`drain`.
+Errors reach the owner through the ``on_result`` callback, which fires from
+the worker thread as soon as each batch lands — ``on_result(None)`` on
+success, ``on_result(error)`` on failure — so a failed write degrades the
+tenant's health *promptly* instead of silently serving with a stale
+checkpoint until the next save.
 
 ``fault_hook`` is the :mod:`repro.serve.faults` probe: called on the worker
 thread before each batch is written, it raises when the fault plan schedules
@@ -31,7 +29,7 @@ takes.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Callable
 
@@ -78,7 +76,7 @@ class CheckpointOffloader:
 
     def __init__(
         self,
-        on_result: Callable[[BaseException | None], None] | None = None,
+        on_result: Callable[[BaseException | None], None],
         fault_hook: Callable[[], None] | None = None,
     ) -> None:
         self._executor = ThreadPoolExecutor(
@@ -106,8 +104,7 @@ class CheckpointOffloader:
         memo: dict[int, object] = {}
         snapshots = [(_copy_tree(tree, memo), path) for tree, path in items]
         future = self._executor.submit(self._write_batch, snapshots)
-        if self._on_result is not None:
-            future.add_done_callback(self._notify)
+        future.add_done_callback(self._notify)
         self._pending.append(future)
         self.writes += len(snapshots)
 
@@ -127,34 +124,13 @@ class CheckpointOffloader:
         self._on_result(error)
 
     def _reap(self) -> None:
-        """Collect finished writes; without ``on_result``, re-raise the first failure."""
-        still_pending: list[Future] = []
-        error: BaseException | None = None
-        for future in self._pending:
-            if not future.done():
-                still_pending.append(future)
-                continue
-            exc = future.exception()
-            if exc is not None and error is None:
-                error = exc
-        self._pending = still_pending
-        if error is not None and self._on_result is None:
-            raise error
+        """Forget finished writes (``on_result`` already reported them)."""
+        self._pending = [future for future in self._pending if not future.done()]
 
     def drain(self) -> None:
-        """Block until every queued write has landed.
-
-        Without ``on_result``, the first failure re-raises here; with it,
-        failures were already reported as they happened and drain only waits.
-        """
+        """Block until every queued write has landed (failures were reported)."""
         pending, self._pending = self._pending, []
-        error: BaseException | None = None
-        for future in pending:
-            exc = future.exception()  # waits for completion
-            if exc is not None and error is None:
-                error = exc
-        if error is not None and self._on_result is None:
-            raise error
+        wait(pending)
 
     def close(self) -> None:
         try:

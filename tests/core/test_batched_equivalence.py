@@ -23,10 +23,11 @@ from repro.core import (
     pad_state_batch,
 )
 from repro.core.learner import _group_forward, row_buckets
+from repro.core.replay import find_leaves
 from repro.core.state import distinct_states
 from repro.crowd import FeatureSchema
 from repro.nn import no_grad
-from tests.core.reference import td_target, train_step_unbatched
+from tests.core.reference import sumtree_find, sumtree_update, td_target, train_step_unbatched
 
 TOL = 1e-9
 
@@ -465,6 +466,12 @@ class TestRowCountBuckets:
             ]
 
 
+def descend(tree: SumTree, values) -> np.ndarray:
+    """``find_leaves`` over a one-tree stack: the descent a one-memory draw makes."""
+    queries = np.asarray(values, dtype=np.float64)[np.newaxis]
+    return find_leaves(tree._tree[np.newaxis], queries)[0]
+
+
 class TestVectorizedSumTree:
     def test_update_batch_matches_scalar_updates(self):
         rng = np.random.default_rng(0)
@@ -473,9 +480,9 @@ class TestVectorizedSumTree:
             indices = rng.integers(0, capacity, size=4 * capacity)
             priorities = rng.random(4 * capacity) * 10
             for index, priority in zip(indices, priorities):
-                scalar_tree.update(int(index), float(priority))
+                sumtree_update(scalar_tree, int(index), float(priority))
             batch_tree.update_batch(indices, priorities)
-            np.testing.assert_allclose(scalar_tree._tree, batch_tree._tree, atol=1e-12)
+            np.testing.assert_array_equal(scalar_tree._tree, batch_tree._tree)
 
     def test_update_batch_duplicate_indices_last_write_wins(self):
         tree = SumTree(8)
@@ -483,13 +490,13 @@ class TestVectorizedSumTree:
         assert tree.get(2) == 3.0
         assert tree.total == pytest.approx(3.0)
 
-    def test_find_batch_matches_scalar_find(self):
+    def test_stacked_descent_matches_scalar_find(self):
         rng = np.random.default_rng(1)
         tree = SumTree(20)
         tree.update_batch(np.arange(20), rng.random(20) * 3)
         queries = rng.uniform(0, tree.total, size=200)
-        scalar = np.array([tree.find(float(v)) for v in queries])
-        np.testing.assert_array_equal(scalar, tree.find_batch(queries))
+        scalar = np.array([sumtree_find(tree, float(v)) for v in queries])
+        np.testing.assert_array_equal(scalar, descend(tree, queries))
 
     def test_randomized_interleaved_update_find_sequences(self):
         rng = np.random.default_rng(2)
@@ -499,12 +506,12 @@ class TestVectorizedSumTree:
             indices = rng.integers(0, 12, size=k)
             priorities = rng.random(k)
             for index, priority in zip(indices, priorities):
-                scalar_tree.update(int(index), float(priority))
+                sumtree_update(scalar_tree, int(index), float(priority))
             batch_tree.update_batch(indices, priorities)
             if scalar_tree.total > 0:
                 queries = rng.uniform(0, scalar_tree.total, size=8)
-                expected = np.array([scalar_tree.find(float(v)) for v in queries])
-                np.testing.assert_array_equal(expected, batch_tree.find_batch(queries))
+                expected = np.array([sumtree_find(scalar_tree, float(v)) for v in queries])
+                np.testing.assert_array_equal(expected, descend(batch_tree, queries))
 
     def test_update_batch_validates_input(self):
         tree = SumTree(4)
@@ -532,7 +539,7 @@ class TestVectorizedReplaySampling:
             [reference_rng.uniform(slot * segment, (slot + 1) * segment) for slot in range(count)]
         )
         expected_indices = np.minimum(
-            np.array([memory._tree.find(float(v)) for v in expected_targets]),
+            np.array([sumtree_find(memory._tree, float(v)) for v in expected_targets]),
             len(memory) - 1,
         )
         _, indices, _ = memory.sample(count)
@@ -548,7 +555,7 @@ class TestVectorizedReplaySampling:
         for index, error in zip(indices, errors):
             priority = float(abs(error)) + memory_a.epsilon
             memory_a._max_priority = max(memory_a._max_priority, priority)
-            memory_a._tree.update(int(index), priority**memory_a.alpha)
+            sumtree_update(memory_a._tree, int(index), priority**memory_a.alpha)
         memory_b.update_priorities(indices, errors)
         assert memory_a._max_priority == pytest.approx(memory_b._max_priority)
         np.testing.assert_allclose(memory_a._tree._tree, memory_b._tree._tree, atol=1e-12)

@@ -1,11 +1,13 @@
 """Batched replay paths: ``push_batch`` stores and ``sample_fused`` sampling.
 
-The async trainer bulk-stores whole handoff batches and the vectorized train
-step samples many replicas' memories in one stacked SumTree descent.  Both
-fast paths must be *bit-identical* to their serial counterparts — the delta
-propagation of a batched push applies the same float additions in the same
-order as sequential scalar updates, and the fused sampler replicates each
-memory's RNG draws, tree walks, weights and beta annealing exactly.
+``push`` is the one-transition call of ``push_batch`` and ``sample`` the
+one-memory call of ``sample_fused``, which the vectorized train step calls
+over many replicas' memories at once (one stacked SumTree descent).  Both
+must be *bit-identical* to the paths they replaced: ``SumTree`` recomputes
+each parent from its two children, so a batched push leaves the same tree as
+one-leaf pushes, and the stacked draw makes each memory's RNG draws, leaves,
+weights and beta annealing exactly those of a scalar tree walk per slot
+(``tests/core/reference.py``), in a group of one or of M.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.core.replay import (
     sample_fused,
 )
 from repro.core.state import StateMatrix
+from tests.core.reference import prioritized_sample
 
 FEATURE_DIM = 4
 
@@ -105,7 +108,39 @@ def filled_memory(capacity: int, fill: int, seed: int) -> PrioritizedReplayMemor
     return memory
 
 
+def assert_memories_equal(a, b):
+    assert a.beta == b.beta
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
 class TestSampleFused:
+    @pytest.mark.parametrize("capacity,fill", [(1, 1), (8, 3), (32, 20), (1000, 700)])
+    def test_one_memory_group_matches_reference_walks(self, capacity, fill):
+        memory = filled_memory(capacity=capacity, fill=fill, seed=3)
+        reference = filled_memory(capacity=capacity, fill=fill, seed=3)
+        for batch_size in (1, 8, 64):
+            [fused] = sample_fused([memory], batch_size=batch_size)
+            assert_sample_equal(fused, prioritized_sample(reference, batch_size))
+            expected = prioritized_sample(reference, batch_size)
+            assert_sample_equal(memory.sample(batch_size), expected)
+            assert_memories_equal(memory, reference)
+
+    def test_m_memory_group_matches_reference_walks(self):
+        make = lambda: [  # noqa: E731 - two identical fleets, fresh RNG state
+            filled_memory(capacity=64, fill=40 + seed, seed=seed) for seed in range(4)
+        ]
+        fused_memories, reference_memories = make(), make()
+        for _ in range(3):
+            fused = sample_fused(fused_memories, batch_size=16)
+            for sample, memory in zip(fused, reference_memories):
+                assert_sample_equal(sample, prioritized_sample(memory, 16))
+        for fused_memory, reference_memory in zip(fused_memories, reference_memories):
+            assert_memories_equal(fused_memory, reference_memory)
+
+    def test_empty_memory_still_refuses_to_sample(self):
+        with pytest.raises(ValueError):
+            PrioritizedReplayMemory(capacity=8, seed=0).sample(4)
+
     def test_bitwise_equal_to_serial_sampling(self):
         make = lambda: [  # noqa: E731 - two identical fleets, fresh RNG state
             filled_memory(capacity=32, fill=20, seed=seed) for seed in range(5)

@@ -15,6 +15,7 @@ from repro.core import (
     Transition,
     expiry_branches,
 )
+from repro.core.replay import find_leaves
 from repro.crowd import FeatureSchema, WorkerArrivalStatistics
 
 
@@ -78,30 +79,38 @@ class TestReplayMemory:
             ReplayMemory(capacity=0)
 
 
+def set_leaf(tree: SumTree, index: int, priority: float) -> None:
+    tree.update_batch(np.array([index]), np.array([priority]))
+
+
+def find(tree: SumTree, value: float) -> int:
+    return int(find_leaves(tree._tree[np.newaxis], np.array([[value]]))[0, 0])
+
+
 class TestSumTree:
     def test_total_tracks_updates(self):
         tree = SumTree(8)
-        tree.update(0, 1.0)
-        tree.update(3, 2.0)
+        set_leaf(tree, 0, 1.0)
+        set_leaf(tree, 3, 2.0)
         assert tree.total == pytest.approx(3.0)
-        tree.update(0, 0.5)
+        set_leaf(tree, 0, 0.5)
         assert tree.total == pytest.approx(2.5)
 
     def test_find_returns_leaf_in_range(self):
         tree = SumTree(4)
-        tree.update(0, 1.0)
-        tree.update(1, 2.0)
-        tree.update(2, 3.0)
-        assert tree.find(0.5) == 0
-        assert tree.find(2.5) == 1
-        assert tree.find(5.9) == 2
+        set_leaf(tree, 0, 1.0)
+        set_leaf(tree, 1, 2.0)
+        set_leaf(tree, 2, 3.0)
+        assert find(tree, 0.5) == 0
+        assert find(tree, 2.5) == 1
+        assert find(tree, 5.9) == 2
 
     def test_rejects_invalid_updates(self):
         tree = SumTree(4)
         with pytest.raises(IndexError):
-            tree.update(4, 1.0)
+            set_leaf(tree, 4, 1.0)
         with pytest.raises(ValueError):
-            tree.update(0, -1.0)
+            set_leaf(tree, 0, -1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -109,12 +118,12 @@ class TestSumTree:
         fraction=st.floats(min_value=0.0, max_value=0.999),
     )
     def test_find_respects_cumulative_distribution(self, priorities, fraction):
-        """find(v) returns the leaf whose cumulative interval contains v."""
+        """The descent returns the leaf whose cumulative interval contains v."""
         tree = SumTree(len(priorities))
         for index, priority in enumerate(priorities):
-            tree.update(index, priority)
+            set_leaf(tree, index, priority)
         value = fraction * tree.total
-        leaf = tree.find(value)
+        leaf = find(tree, value)
         cumulative = np.cumsum(priorities)
         expected = int(np.searchsorted(cumulative, value, side="left"))
         expected = min(expected, len(priorities) - 1)

@@ -80,7 +80,8 @@ class TestSnapshotNetwork:
         snapshot = SnapshotNetwork(agent)
         rng = np.random.default_rng(2)
         states = [make_state(rng, num_tasks=n) for n in (2, 5, 1, 4)]
-        for mirror, live in zip(snapshot.q_values_batch(states), agent.q_values_batch(states)):
+        live_batch = agent.network.q_values_batch(states)
+        for mirror, live in zip(snapshot.q_values_batch(states), live_batch):
             np.testing.assert_array_equal(mirror, live)
 
     def test_snapshot_is_frozen_until_refreshed(self):
