@@ -238,19 +238,18 @@ class SumTree:
             raise ValueError("indices and priorities must have matching lengths")
         if indices.size == 0:
             return
-        if indices.min() < 0 or indices.max() >= self.capacity:
-            raise IndexError(f"leaf indices out of range [0, {self.capacity})")
-        if priorities.min() < 0:
-            raise ValueError("priorities must be non-negative")
         if indices.size <= 8:
             # Small batches (one push, a small replay batch's priorities): a
             # walk from each leaf to the root beats the fixed costs of the
-            # vectorized rounds below.  Leaf writes happen in order (last
-            # write wins), and the last walk through a node follows the last
-            # write below it, so every parent ends as the sum of its final
-            # children — bit-identical to the vectorized propagation.
+            # vectorized rounds below, and the checks run on the walk's own
+            # lists.  Leaf writes happen in order (last write wins), and the
+            # last walk through a node follows the last write below it, so
+            # every parent ends as the sum of its final children —
+            # bit-identical to the vectorized propagation.
+            leaves, values = indices.tolist(), priorities.tolist()
+            self._check(min(leaves), max(leaves), min(values))
             tree = self._tree
-            for index, priority in zip(indices.tolist(), priorities.tolist()):
+            for index, priority in zip(leaves, values):
                 node = index + self._leaf_count
                 tree[node] = priority
                 node //= 2
@@ -258,6 +257,7 @@ class SumTree:
                     tree[node] = tree[2 * node] + tree[2 * node + 1]
                     node //= 2
             return
+        self._check(indices.min(), indices.max(), priorities.min())
         # Keep only the last occurrence of each index (last write wins):
         # first occurrence in the reversed array = last occurrence overall.
         reversed_first = np.unique(indices[::-1], return_index=True)[1]
@@ -268,6 +268,13 @@ class SumTree:
         while parents.size and parents[0] >= 1:
             self._tree[parents] = self._tree[2 * parents] + self._tree[2 * parents + 1]
             parents = np.unique(parents // 2)
+
+    def _check(self, lowest, highest, least) -> None:
+        """Reject a write whose leaf range or smallest priority is invalid."""
+        if lowest < 0 or highest >= self.capacity:
+            raise IndexError(f"leaf indices out of range [0, {self.capacity})")
+        if least < 0:
+            raise ValueError("priorities must be non-negative")
 
     def get(self, index: int) -> float:
         return float(self._tree[index + self._leaf_count])
@@ -405,19 +412,29 @@ def find_leaves(trees: np.ndarray, values: np.ndarray) -> np.ndarray:
     ``values`` holds one row of queries per tree ``(M, k)``.  The tree is
     complete, so every query descends one level per round: left when it fits
     in the left subtree's sum (or the right subtree is empty), else right
-    after subtracting that sum.  Every operation is elementwise, so a row's
-    leaves do not depend on the other rows.
+    after subtracting that sum (a NaN query steps left every round).  Node
+    ``n``'s children ``2n, 2n + 1`` are row ``n`` of its tree viewed as
+    pairs, so the stack descends as one flat batch of M·k queries: a round
+    gathers both children of every node at once, compares, and subtracts in
+    place where the query steps right.  Every operation is elementwise, so a
+    row's leaves do not depend on the other rows.
     """
-    leaf_count = trees.shape[1] // 2
-    nodes = np.ones(values.shape, dtype=np.int64)
-    rows = np.arange(len(trees))[:, np.newaxis]
-    while nodes[0, 0] < leaf_count:
-        left = 2 * nodes
-        left_sums = trees[rows, left]
-        go_left = (values <= left_sums) | (trees[rows, left + 1] <= 0.0)
-        nodes = np.where(go_left, left, left + 1)
-        values = np.where(go_left, values, values - left_sums)
-    return nodes - leaf_count
+    count, width = trees.shape
+    leaf_count = width // 2
+    pairs = trees.reshape(-1, 2)
+    # Node n of tree r has its children on pair row r * leaf_count + n.
+    offsets = np.repeat(np.arange(0, count * leaf_count, leaf_count), values.shape[1])
+    remaining = np.array(values, dtype=np.float64).reshape(-1)
+    nodes = np.ones(remaining.size, dtype=np.int64)
+    for _ in range(leaf_count.bit_length() - 1):
+        children = pairs.take(nodes + offsets, axis=0)
+        left_sums = children[:, 0]
+        right = remaining > left_sums
+        right &= children[:, 1] > 0.0
+        np.subtract(remaining, left_sums, out=remaining, where=right)
+        nodes <<= 1
+        nodes += right
+    return (nodes - leaf_count).reshape(values.shape)
 
 
 def sample_fused(

@@ -43,8 +43,11 @@ The generator validates every tenant's policy name against the server's
 aggregate throughput, client-side rank round-trip percentiles and the full
 resilience accounting (retries, reconnects, timeouts, duplicates, resyncs).
 With ``--shutdown`` it drains the server afterwards and includes the drain
-summary (the CI benchmark uses exactly this path).  An unreachable server
-is a clean one-line error and a nonzero exit, not a traceback.
+summary (the CI benchmark uses exactly this path).  Control ops (``policies``,
+``status``, ``shutdown``, route lookups) go through
+:func:`~repro.serve.protocol.request_once`, the one-shot request the sharded
+front-end also fans out with.  An unreachable server is a clean one-line
+error and a nonzero exit, not a traceback.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..crowd.events import Event, EventType
-from .protocol import RETRYABLE_CODES, decode_line, encode_line, event_to_wire
+from .protocol import RETRYABLE_CODES, decode_line, encode_line, event_to_wire, request_once
 from .spec import ServeSpec
 from .tenant import latency_percentiles
 
@@ -87,28 +90,10 @@ class Resilience:
         return base * (0.5 + rng.random())
 
 
-async def _request_once(host: str, port: int, payload: dict) -> dict:
-    """One request on a throwaway connection (control ops)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(encode_line(payload))
-        await writer.drain()
-        line = await reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return decode_line(line)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-
 async def _control_request(host: str, port: int, payload: dict, what: str) -> dict:
     try:
-        response = await _request_once(host, port, payload)
-    except (ConnectionError, OSError) as error:
+        response = await request_once(host, port, payload)
+    except OSError as error:
         raise LoadgenError(
             f"cannot reach server at {host}:{port} for {what}: {error}"
         ) from None
@@ -130,8 +115,8 @@ def _make_resolver(host: str, port: int, tenant: str):
 
     async def resolve() -> tuple[str, int]:
         try:
-            response = await _request_once(host, port, {"op": "status"})
-        except (ConnectionError, OSError):
+            response = await request_once(host, port, {"op": "status"})
+        except OSError:
             return host, port
         route = (response.get("status") or {}).get("routes", {}).get(tenant)
         if route and route.get("host") is not None and route.get("port") is not None:

@@ -52,6 +52,8 @@ a :class:`~repro.serve.spec.ServeSpec` can override under ``"limits"``.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import json
 import socket
 from dataclasses import dataclass
@@ -60,6 +62,7 @@ from ..crowd.events import Event, EventType
 
 __all__ = [
     "ERROR_CODES",
+    "MAX_ANSWER_BYTES",
     "RETRYABLE_CODES",
     "ProtocolLimits",
     "encode_line",
@@ -69,6 +72,7 @@ __all__ = [
     "event_from_wire",
     "ProtocolError",
     "ServeClient",
+    "request_once",
 ]
 
 #: Structured error codes answered on the wire.
@@ -90,6 +94,10 @@ ERROR_CODES = frozenset(
 
 #: Transient conditions a client should retry (with backoff + jitter).
 RETRYABLE_CODES = frozenset({"overloaded", "tenant_restarting", "deadline_exceeded"})
+
+#: Longest answer line a client reads.  ``max_frame_bytes`` bounds requests
+#: only: a ``status`` answer or a drain summary grows with the tenants.
+MAX_ANSWER_BYTES = 1 << 24
 
 
 def error_response(code: str, message: str, **extra) -> dict:
@@ -173,7 +181,7 @@ def decode_line(line: bytes | str) -> dict:
         line = line.decode("utf-8", errors="replace")
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:
         raise ProtocolError(f"invalid JSON line: {error}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(f"protocol lines must be JSON objects, got {type(payload).__name__}")
@@ -215,6 +223,29 @@ def event_from_wire(payload: dict) -> Event:
             f"event requires integer 'subject_id' and numeric 'timestamp': {error}"
         ) from None
     return Event(timestamp=timestamp, event_type=_KINDS[kind], subject_id=subject_id)
+
+
+async def request_once(host: str, port: int, payload: dict) -> dict:
+    """One request on a throwaway connection (control ops, shard fan-out).
+
+    Raises :class:`OSError` when the peer cannot be reached or drops the
+    connection (``ConnectionError`` when it closes before answering) and
+    :class:`ValueError` when the answer overruns :data:`MAX_ANSWER_BYTES`
+    or does not decode (:class:`ProtocolError`, say a line torn by a peer
+    killed mid-write).
+    """
+    reader, writer = await asyncio.open_connection(host, port, limit=MAX_ANSWER_BYTES)
+    try:
+        writer.write(encode_line(payload))
+        await writer.drain()
+        line = await reader.readline()
+        if not line:
+            raise ConnectionError("server closed the connection")
+        return decode_line(line)
+    finally:
+        writer.close()
+        with contextlib.suppress(OSError):
+            await writer.wait_closed()
 
 
 class ServeClient:

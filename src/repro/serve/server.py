@@ -1,10 +1,13 @@
-"""The asyncio serving process: N tenants behind one NDJSON TCP socket.
+"""The asyncio serving endpoint: N tenants behind one NDJSON TCP socket.
 
-:class:`ArrangementServer` hosts every tenant of a :class:`ServeSpec` on one
-event loop.  Connections speak the :mod:`repro.serve.protocol` line protocol;
-worker-arrival events block their request until the tenant's replica loop has
-served the decision, task events are acknowledged immediately, and rank
-requests that land on the same loop tick share stacked forwards through the
+:class:`Endpoint` is the wire, written once: bind, frames, the connection
+loop, the shared ops, an idempotent drain.  :class:`ArrangementServer` hosts
+every tenant of a :class:`ServeSpec` on one event loop; the sharded
+:class:`~repro.serve.shard.ShardedFrontend` routes to shard processes that
+are arrangement servers themselves.  Worker-arrival events block their
+request until the tenant's replica loop has served the decision, task events
+are acknowledged immediately, and rank requests that land on the same loop
+tick share stacked forwards through the
 :class:`~repro.serve.batching.RankBatcher`.  Asynchronously trained tenants
 run their gradient work on the :class:`~repro.core.trainer.AsyncTrainer`
 background thread, so decision latency stays decoupled from training cost.
@@ -27,7 +30,7 @@ backoff); clients re-feed the tail through ``sequence_gap`` resynchronisation
 and the recovered trajectory is bit-exact versus an uninterrupted run.  The
 wire surface is hardened by :class:`~repro.serve.protocol.ProtocolLimits`:
 oversized frames answer ``frame_too_large`` without killing the connection,
-every non-shutdown request dispatches under a deadline
+every non-shutdown request a server hosts dispatches under a deadline
 (``deadline_exceeded``), and queue-depth backpressure answers ``overloaded``.
 ``--fault-plan`` arms a seeded :class:`~repro.serve.faults.FaultPlan` that
 injects failures at named sites for chaos tests and CI; every injected
@@ -35,10 +38,12 @@ fault, health transition and restart flows into the NDJSON event logs
 (``kind="fault"`` / ``"health"`` / ``"supervisor"``, server-level records in
 ``_server.ndjson``) and is queryable after ``repro report ingest``.
 
-``python -m repro serve <spec.json>`` runs this module's :func:`main`; on
-readiness it prints one JSON line ``{"serving": {...}}`` (host, bound port,
-pid, tenants, state dir) so drivers can discover an ephemeral port, and at
-exit one line ``{"shutdown": {...}}`` with the per-tenant drain summary.
+``python -m repro serve <spec.json>`` runs this module's :func:`main`: one
+endpoint (single process, shard worker or sharded front-end) under
+:func:`serve_endpoint`, which on readiness prints one JSON line
+``{"serving": {...}}`` (host, bound port, pid, tenants, state dir) so
+drivers can discover an ephemeral port, and at exit one line
+``{"shutdown": {...}}`` with the per-tenant drain summary.
 """
 
 from __future__ import annotations
@@ -68,7 +73,15 @@ from .protocol import (
 from .spec import ServeSpec
 from .tenant import FAILED, RESTARTING, ArrivalTicket, Tenant
 
-__all__ = ["ArrangementServer", "checkpoint_phases", "configure_parser", "main", "run"]
+__all__ = [
+    "ArrangementServer",
+    "Endpoint",
+    "checkpoint_phases",
+    "configure_parser",
+    "main",
+    "run",
+    "serve_endpoint",
+]
 
 
 def checkpoint_phases(spec: ServeSpec) -> dict[str, int]:
@@ -90,11 +103,189 @@ def checkpoint_phases(spec: ServeSpec) -> dict[str, int]:
 
 #: Sentinel returned by the frame reader for an over-limit request line.
 _OVERSIZED = object()
-#: Sentinel: a conn_drop fault fired — close the connection unanswered.
+#: Sentinel answer: a conn_drop fault fired — close the connection unanswered.
 _DROP = object()
 
 
-class ArrangementServer:
+class Endpoint:
+    """One NDJSON endpoint: bind, frames, the connection loop, shared ops, drain.
+
+    :class:`ArrangementServer` (hosts tenants) and
+    :class:`~repro.serve.shard.ShardedFrontend` (routes to shard processes)
+    are its two shapes.  A shape readies what it serves in :meth:`_prepare`,
+    answers ``event`` ops in :meth:`_op_event`, reports :meth:`status`,
+    drains in :meth:`_drain` and adds its own fields to the announce line;
+    the wire around those is written once, here.
+    """
+
+    def __init__(self, spec: ServeSpec) -> None:
+        self.spec = spec
+        self.shutdown_summary: dict | None = None
+        self._server: asyncio.AbstractServer | None = None
+        self._started = time.perf_counter()
+        self._closing = False
+        self._shutdown_task: asyncio.Task | None = None
+        self._shutdown_complete = asyncio.Event()
+        self._conn_tasks: set[asyncio.Task] = set()
+
+    async def _prepare(self) -> None:
+        """Ready what this endpoint serves; :meth:`start` runs it before the bind."""
+
+    async def start(self) -> tuple[str, int]:
+        """Ready the endpoint and bind; returns the bound (host, port)."""
+        await self._prepare()
+        self._server = await asyncio.start_server(
+            self._handle,
+            self.spec.host,
+            self.spec.port,
+            # The stream reader's buffer limit is what readuntil() enforces;
+            # one byte past max_frame_bytes must overrun, so the limit is the
+            # frame budget itself (frame = payload + newline).
+            limit=self.spec.limits.max_frame_bytes,
+        )
+        self._started = time.perf_counter()
+        return self.address
+
+    @property
+    def address(self) -> tuple[str, int]:
+        assert self._server is not None, "endpoint not started"
+        sockname = self._server.sockets[0].getsockname()
+        return sockname[0], sockname[1]
+
+    # ------------------------------------------------------------------ #
+    async def _read_frame(self, reader: asyncio.StreamReader):
+        """One request line, EOF (``None``) or the ``_OVERSIZED`` sentinel.
+
+        An over-limit line is discarded up to its terminating newline so the
+        connection survives the ``frame_too_large`` answer; bytes a client
+        pipelined *behind* an oversized frame in the same burst may be lost
+        with it (clients should not pipeline past an unread response).
+        """
+        try:
+            return await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            return None  # EOF, possibly mid-frame; nothing to answer
+        except asyncio.LimitOverrunError:
+            while True:
+                chunk = await reader.read(self.spec.limits.max_frame_bytes)
+                if not chunk or b"\n" in chunk:
+                    return _OVERSIZED
+
+    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+        #: Shard index → (reader, writer): the connections a front-end opened
+        #: upstream for this client, closed with it.
+        upstream: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
+        try:
+            while True:
+                line = await self._read_frame(reader)
+                if line is None:
+                    break
+                request: dict = {}
+                if line is _OVERSIZED:
+                    response = error_response(
+                        "frame_too_large",
+                        f"request line exceeds max_frame_bytes "
+                        f"({self.spec.limits.max_frame_bytes})",
+                        max_frame_bytes=self.spec.limits.max_frame_bytes,
+                    )
+                else:
+                    try:
+                        request = decode_line(line)
+                    except ProtocolError as error:
+                        response = error_response("bad_request", str(error))
+                    else:
+                        response = await self._answer(request, line, upstream)
+                        if response is _DROP:
+                            break  # conn_drop fired: close without answering
+                writer.write(encode_line(response))
+                await writer.drain()
+                if request.get("op") == "shutdown":
+                    # The drain summary was this connection's answer; close it
+                    # so drivers blocking on the shutdown op see EOF next.
+                    break
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            if task is not None:
+                self._conn_tasks.discard(task)
+            for _, up_writer in upstream.values():
+                up_writer.close()
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    async def _answer(self, request: dict, line: bytes, upstream: dict) -> dict:
+        """Dispatch one decoded request; a failing op answers on the wire."""
+        op = request.get("op")
+        try:
+            if op == "event":
+                if self._closing:
+                    return error_response("draining", "server is draining; no new events accepted")
+                return await self._op_event(request, line, upstream)
+            if op == "status":
+                return {"ok": True, "status": await self.status()}
+            if op == "policies":
+                return {"ok": True, "policies": registry_payload()}
+            if op == "ping":
+                return {"ok": True}
+            if op == "shutdown":
+                return {"ok": True, "shutdown": await self.shutdown()}
+            return error_response("unknown_op", f"unknown op {op!r}")
+        except ProtocolError as error:
+            return error_response("bad_request", str(error))
+        except Exception as error:  # noqa: BLE001 - answered on the wire
+            return error_response("internal", f"{type(error).__name__}: {error}")
+
+    async def _op_event(self, request: dict, line: bytes, upstream: dict) -> dict:
+        """Answer one ``event`` op (``line`` is its raw frame)."""
+        raise NotImplementedError
+
+    async def status(self) -> dict:
+        """The ``status`` op's health surface."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    async def shutdown(self) -> dict:
+        """Drain to completion; idempotent, safe to race."""
+        if self._shutdown_task is None:
+            self._shutdown_task = asyncio.ensure_future(self._shutdown())
+        return await asyncio.shield(self._shutdown_task)
+
+    async def _shutdown(self) -> dict:
+        try:
+            self.shutdown_summary = await self._drain()
+        finally:
+            # Even a failed drain ends run_until_shutdown: never hang the exit.
+            self._shutdown_complete.set()
+        return self.shutdown_summary
+
+    async def _drain(self) -> dict:
+        """Stop taking events, finish what is in flight; the drain summary."""
+        raise NotImplementedError
+
+    def _announce_fields(self) -> dict:
+        """What the ``{"serving": ...}`` line adds after name, host, port, pid."""
+        raise NotImplementedError
+
+    async def run_until_shutdown(self) -> dict:
+        """Serve until a drain completes, then close the listener cleanly."""
+        assert self._server is not None, "endpoint not started"
+        await self._shutdown_complete.wait()
+        self._server.close()
+        await self._server.wait_closed()
+        if self._conn_tasks:
+            # Give in-flight responses (including the shutdown op's own
+            # answer) a moment to flush, then drop lingering idle clients.
+            _, pending = await asyncio.wait(set(self._conn_tasks), timeout=2.0)
+            for task in pending:
+                task.cancel()
+        return self.shutdown_summary or {}
+
+
+class ArrangementServer(Endpoint):
     """One serving process: boots tenants, speaks the protocol, drains clean."""
 
     def __init__(
@@ -108,7 +299,7 @@ class ArrangementServer:
         shard_index: int | None = None,
         checkpoint_phase_overrides: dict[str, int] | None = None,
     ) -> None:
-        self.spec = spec
+        super().__init__(spec)
         #: Which shard of a sharded deployment this process is (None when the
         #: server stands alone); stamped into status and every event record.
         self.shard_index = shard_index
@@ -128,13 +319,6 @@ class ArrangementServer:
             self.fault_plan.on_fire = self._record_fault
         self.tenants: dict[str, Tenant] = {}
         self.batcher = RankBatcher()
-        self.shutdown_summary: dict | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._started = time.perf_counter()
-        self._closing = False
-        self._shutdown_task: asyncio.Task | None = None
-        self._shutdown_complete = asyncio.Event()
-        self._conn_tasks: set[asyncio.Task] = set()
         #: Tenant names with an in-flight supervised restart task.
         self._supervising: set[str] = set()
         self._restart_tasks: set[asyncio.Task] = set()
@@ -176,97 +360,11 @@ class ArrangementServer:
             tenant.boot()
             self.tenants[tenant_spec.name] = tenant
 
-    async def start(self) -> tuple[str, int]:
-        """Boot (if needed) and bind; returns the bound (host, port)."""
+    async def _prepare(self) -> None:
         if not self.tenants:
             self.boot()
-        self._server = await asyncio.start_server(
-            self._handle,
-            self.spec.host,
-            self.spec.port,
-            # The stream reader's buffer limit is what readuntil() enforces;
-            # one byte past max_frame_bytes must overrun, so the limit is the
-            # frame budget itself (frame = payload + newline).
-            limit=self.spec.limits.max_frame_bytes,
-        )
-        self._started = time.perf_counter()
-        return self.address
-
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._server is not None, "server not started"
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
 
     # ------------------------------------------------------------------ #
-    async def _read_frame(self, reader: asyncio.StreamReader):
-        """One request line, EOF (``None``) or the ``_OVERSIZED`` sentinel.
-
-        An over-limit line is discarded up to its terminating newline so the
-        connection survives the ``frame_too_large`` answer; bytes a client
-        pipelined *behind* an oversized frame in the same burst may be lost
-        with it (clients should not pipeline past an unread response).
-        """
-        try:
-            return await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError:
-            return None  # EOF, possibly mid-frame; nothing to answer
-        except asyncio.LimitOverrunError:
-            while True:
-                chunk = await reader.read(self.spec.limits.max_frame_bytes)
-                if not chunk or b"\n" in chunk:
-                    return _OVERSIZED
-
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                line = await self._read_frame(reader)
-                if line is None:
-                    break
-                if line is _OVERSIZED:
-                    writer.write(
-                        encode_line(
-                            error_response(
-                                "frame_too_large",
-                                f"request line exceeds max_frame_bytes "
-                                f"({self.spec.limits.max_frame_bytes})",
-                                max_frame_bytes=self.spec.limits.max_frame_bytes,
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                try:
-                    request = decode_line(line)
-                except ProtocolError as error:
-                    writer.write(encode_line(error_response("bad_request", str(error))))
-                    await writer.drain()
-                    continue
-                injected = self._injected_frame_fault(request)
-                if injected is _DROP:
-                    break  # conn_drop fired: close without answering
-                if injected is not None:
-                    response = injected
-                else:
-                    response = await self._dispatch_guarded(request)
-                writer.write(encode_line(response))
-                await writer.drain()
-                if request.get("op") == "shutdown":
-                    # The drain summary was this connection's answer; close it
-                    # so drivers blocking on the shutdown op see EOF next.
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
     def _injected_frame_fault(self, request: dict):
         """Probe the connection-level fault sites for one decoded frame.
 
@@ -296,8 +394,11 @@ class ArrangementServer:
             )
         return None
 
-    async def _dispatch_guarded(self, request: dict) -> dict:
-        """Dispatch under the per-request deadline, answering structured errors."""
+    async def _answer(self, request: dict, line: bytes, upstream: dict):
+        """Probe the fault sites, then answer under the per-request deadline."""
+        injected = self._injected_frame_fault(request)
+        if injected is not None:
+            return injected
         slow = (
             self.fault_plan.fire(
                 "slow_frame", tenant=request.get("tenant"), op=request.get("op")
@@ -305,47 +406,27 @@ class ArrangementServer:
             if self.fault_plan is not None
             else None
         )
+        respond = super()._answer
+        if request.get("op") == "shutdown":
+            # The drain legitimately outlives any request deadline.
+            return await respond(request, line, upstream)
+
+        async def stalled() -> dict:
+            if slow is not None:
+                await asyncio.sleep(slow.delay_ms / 1e3)  # stall inside the deadline
+            return await respond(request, line, upstream)
+
         try:
-            if request.get("op") == "shutdown":
-                # The drain legitimately outlives any request deadline.
-                return await self._dispatch(request)
-            return await asyncio.wait_for(
-                self._dispatch(request, delay_s=(slow.delay_ms / 1e3 if slow else 0.0)),
-                timeout=self.spec.limits.request_timeout_s,
-            )
+            return await asyncio.wait_for(stalled(), timeout=self.spec.limits.request_timeout_s)
         except TimeoutError:
             return error_response(
                 "deadline_exceeded",
                 f"request exceeded the {self.spec.limits.request_timeout_s}s deadline",
                 injected=slow is not None,
             )
-        except ProtocolError as error:
-            return error_response("bad_request", str(error))
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - answered on the wire
-            return error_response("internal", f"{type(error).__name__}: {error}")
 
-    async def _dispatch(self, request: dict, delay_s: float = 0.0) -> dict:
-        if delay_s > 0:
-            await asyncio.sleep(delay_s)  # slow_frame: stall inside the deadline
-        op = request.get("op")
-        if op == "event":
-            return await self._op_event(request)
-        if op == "status":
-            return {"ok": True, "status": self.status()}
-        if op == "policies":
-            return {"ok": True, "policies": registry_payload()}
-        if op == "ping":
-            return {"ok": True}
-        if op == "shutdown":
-            summary = await self.shutdown()
-            return {"ok": True, "shutdown": summary}
-        return error_response("unknown_op", f"unknown op {op!r}")
-
-    async def _op_event(self, request: dict) -> dict:
-        if self._closing:
-            return error_response("draining", "server is draining; no new events accepted")
+    async def _op_event(self, request: dict, line: bytes = b"", upstream=None) -> dict:
+        """Feed one event to its tenant (``line``/``upstream`` are for routing)."""
         name = request.get("tenant")
         tenant = self.tenants.get(name)
         if tenant is None:
@@ -533,8 +614,8 @@ class ArrangementServer:
             self._server_log_file.flush()
 
     # ------------------------------------------------------------------ #
-    def status(self) -> dict:
-        """The ``/status`` health surface."""
+    async def status(self) -> dict:
+        """The ``status`` op's health surface."""
         return {
             "name": self.spec.name,
             "pid": os.getpid(),
@@ -549,12 +630,6 @@ class ArrangementServer:
         }
 
     # ------------------------------------------------------------------ #
-    async def shutdown(self) -> dict:
-        """Drain every tenant to completion; idempotent, safe to race."""
-        if self._shutdown_task is None:
-            self._shutdown_task = asyncio.ensure_future(self._drain())
-        return await asyncio.shield(self._shutdown_task)
-
     async def _drain(self) -> dict:
         self._closing = True
         # Stop any in-flight supervised restarts first: a tenant mid-backoff
@@ -585,76 +660,38 @@ class ArrangementServer:
                 entry["arrivals"] = tenant.result.arrivals
                 entry["completions"] = tenant.result.completions
             summary[name] = entry
-        self.shutdown_summary = summary
         if self._server_log_file is not None:
             with self._server_log_lock:
                 self._server_log_file.close()
                 self._server_log_file = None
-        self._shutdown_complete.set()
         return summary
 
-    async def run_until_shutdown(self) -> dict:
-        """Serve until a drain completes, then close the listener cleanly."""
-        assert self._server is not None, "server not started"
-        await self._shutdown_complete.wait()
-        self._server.close()
-        await self._server.wait_closed()
-        if self._conn_tasks:
-            # Give in-flight responses (including the shutdown op's own
-            # answer) a moment to flush, then drop lingering idle clients.
-            _, pending = await asyncio.wait(set(self._conn_tasks), timeout=2.0)
-            for task in pending:
-                task.cancel()
-        return self.shutdown_summary or {}
+    def _announce_fields(self) -> dict:
+        return {
+            "shard": self.shard_index,
+            "tenants": sorted(self.tenants),
+            "state_dir": str(self.state_dir) if self.state_dir is not None else None,
+        }
 
 
 # ---------------------------------------------------------------------- #
-async def _amain(
-    spec: ServeSpec,
-    state_dir: Path | None,
-    resume: bool,
-    dataset_cache_dir: Path | None,
-    announce: bool = True,
-    event_log_dir: Path | None = None,
-    fault_plan: FaultPlan | None = None,
-    shard_index: int | None = None,
-    checkpoint_phase_overrides: dict[str, int] | None = None,
-) -> dict:
-    server = ArrangementServer(
-        spec,
-        state_dir=state_dir,
-        resume=resume,
-        dataset_cache_dir=dataset_cache_dir,
-        event_log_dir=event_log_dir,
-        fault_plan=fault_plan,
-        shard_index=shard_index,
-        checkpoint_phase_overrides=checkpoint_phase_overrides,
-    )
-    host, port = await server.start()
+async def serve_endpoint(endpoint: Endpoint) -> dict:
+    """Start ``endpoint``, announce it, serve until it drains; the drain summary.
+
+    ``SIGTERM`` and ``SIGINT`` drain like the ``shutdown`` op.  Readiness
+    prints one JSON line ``{"serving": {...}}`` (name, host, bound port, pid
+    and the shape's own fields) so drivers can discover an ephemeral port;
+    the exit prints ``{"shutdown": {...}}`` with the per-tenant summary.
+    """
+    host, port = await endpoint.start()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
         with contextlib.suppress(NotImplementedError, RuntimeError):
-            loop.add_signal_handler(sig, lambda: asyncio.ensure_future(server.shutdown()))
-    if announce:
-        print(
-            json.dumps(
-                {
-                    "serving": {
-                        "name": spec.name,
-                        "host": host,
-                        "port": port,
-                        "pid": os.getpid(),
-                        "shard": shard_index,
-                        "tenants": sorted(server.tenants),
-                        "state_dir": str(state_dir) if state_dir is not None else None,
-                    }
-                }
-            ),
-            flush=True,
-        )
-    summary = await server.run_until_shutdown()
-    if announce:
-        print(json.dumps({"shutdown": summary}), flush=True)
+            loop.add_signal_handler(sig, lambda: asyncio.ensure_future(endpoint.shutdown()))
+    serving = {"name": endpoint.spec.name, "host": host, "port": port, "pid": os.getpid()}
+    print(json.dumps({"serving": {**serving, **endpoint._announce_fields()}}), flush=True)
+    summary = await endpoint.run_until_shutdown()
+    print(json.dumps({"shutdown": summary}), flush=True)
     return summary
 
 
@@ -727,43 +764,41 @@ def run(args: argparse.Namespace) -> int:
         return 2
     fault_plan = FaultPlan.load(args.fault_plan) if args.fault_plan is not None else None
     state_dir = args.state_dir if args.state_dir is not None else Path("serve-state") / spec.name
-    if args.shard_index is not None:
-        # Worker mode (spawned by the front-end): host one round-robin
-        # partition of the tenants on an ephemeral port, with the global
-        # checkpoint phases so sharded state matches a single-process run.
-        from .shard import worker_spec
+    endpoint: Endpoint
+    if args.shard_index is None and shards > 1:
+        from .shard import ShardedFrontend
 
-        try:
-            asyncio.run(
-                _amain(
-                    worker_spec(spec, args.shard_index, shards),
-                    state_dir,
-                    not args.fresh,
-                    args.cache_dir,
-                    event_log_dir=args.event_log,
-                    fault_plan=fault_plan,
-                    shard_index=args.shard_index,
-                    checkpoint_phase_overrides=checkpoint_phases(spec),
-                )
-            )
-        except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C
-            return 130
-        return 0
-    if shards > 1:
-        from .shard import run_frontend
-
-        return run_frontend(spec, shards, args)
-    try:
-        asyncio.run(
-            _amain(
-                spec,
-                state_dir,
-                not args.fresh,
-                args.cache_dir,
-                event_log_dir=args.event_log,
-                fault_plan=fault_plan,
-            )
+        endpoint = ShardedFrontend(
+            spec,
+            shards,
+            state_dir,
+            resume=not args.fresh,
+            dataset_cache_dir=args.cache_dir,
+            event_log_dir=args.event_log,
+            fault_plan_path=args.fault_plan,
         )
+    else:
+        phases = None
+        if args.shard_index is not None:
+            # Worker mode (spawned by the front-end): host one round-robin
+            # partition of the tenants on an ephemeral port, with the global
+            # checkpoint phases so sharded state matches a single-process run.
+            from .shard import worker_spec
+
+            phases = checkpoint_phases(spec)
+            spec = worker_spec(spec, args.shard_index, shards)
+        endpoint = ArrangementServer(
+            spec,
+            state_dir=state_dir,
+            resume=not args.fresh,
+            dataset_cache_dir=args.cache_dir,
+            event_log_dir=args.event_log,
+            fault_plan=fault_plan,
+            shard_index=args.shard_index,
+            checkpoint_phase_overrides=phases,
+        )
+    try:
+        asyncio.run(serve_endpoint(endpoint))
     except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C before handlers
         return 130
     return 0

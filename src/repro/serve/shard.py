@@ -5,11 +5,16 @@ endpoint out across processes instead of sharing one event loop: the
 :class:`ShardedFrontend` binds the spec's (host, port) and spawns K worker
 processes — each ``repro serve <spec> --shard-index i`` hosting a
 deterministic round-robin partition of the tenants on its own loop and an
-ephemeral port.  The front-end
+ephemeral port.  The front-end is the hosting server's
+:class:`~repro.serve.server.Endpoint` (same frames, connection loop, shared
+ops and drain), with only these parts of its own:
 
 * **routes** ``event`` ops to the shard owning the request's tenant (one
   lazily-opened upstream connection per client connection per shard, so the
-  strict request→response ordering of the protocol is preserved end to end);
+  strict request→response ordering of the protocol is preserved end to end;
+  forwards carry no deadline, which could leave a late answer to pair with
+  the next request, and a shard that drops or tears its reply answers
+  ``tenant_restarting``);
 * **advertises** the per-shard data-plane addresses in its aggregated
   ``status`` response (``routes``: tenant → {shard, host, port}), so smart
   clients — the load generator — connect straight to the owning shard and
@@ -19,7 +24,7 @@ ephemeral port.  The front-end
 * **supervises** the workers: an exited worker process is relaunched under
   the spec's :class:`~repro.serve.spec.SupervisorSpec` budget/backoff, its
   tenants resume from their schedule-aligned checkpoints, and clients
-  re-feed the tail through ``sequence_gap`` — exactly the PR-9 tenant
+  re-feed the tail through ``sequence_gap`` — the in-process tenant
   supervision semantics, one level up.
 
 Exactness: the tenant partition, the checkpoint file layout (one
@@ -38,25 +43,22 @@ the machine.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import contextlib
 import json
 import os
-import signal
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from ..api.registry import registry_payload
 from ..nn.threads import ENV_VAR as THREADS_ENV_VAR
 from ..nn.threads import blas_share
-from .protocol import decode_line, encode_line, error_response
-from .server import checkpoint_phases
+from .protocol import MAX_ANSWER_BYTES, decode_line, error_response, request_once
+from .server import Endpoint
 from .spec import ServeSpec, TenantSpec
 
-__all__ = ["ShardedFrontend", "partition_tenants", "run_frontend", "worker_spec"]
+__all__ = ["ShardedFrontend", "partition_tenants", "worker_spec"]
 
 #: Seconds a spawned worker gets to print its announce line (dataset
 #: generation + warm-up replay happen before the bind).
@@ -129,7 +131,7 @@ class _Worker:
         }
 
 
-class ShardedFrontend:
+class ShardedFrontend(Endpoint):
     """The routing/supervising front-end of a ``--shards K`` deployment."""
 
     def __init__(
@@ -144,7 +146,7 @@ class ShardedFrontend:
     ) -> None:
         if shards < 2:
             raise ValueError(f"a sharded front-end needs shards >= 2, got {shards}")
-        self.spec = spec
+        super().__init__(spec)
         self.groups = partition_tenants(spec, shards)
         self.shards = len(self.groups)
         self.state_dir = Path(state_dir)
@@ -163,16 +165,8 @@ class ShardedFrontend:
             for index, group in enumerate(self.groups)
             for tenant in group
         }
-        self.shutdown_summary: dict | None = None
-        self._server: asyncio.AbstractServer | None = None
         self._spec_path = self.state_dir / "_frontend-spec.json"
-        self._started = time.perf_counter()
-        self._closing = False
-        self._shutdown_task: asyncio.Task | None = None
-        self._shutdown_complete = asyncio.Event()
-        self._conn_tasks: set[asyncio.Task] = set()
         self._monitor_tasks: set[asyncio.Task] = set()
-        self._drain_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------ #
     # Worker lifecycle
@@ -282,97 +276,20 @@ class ShardedFrontend:
             return
 
     # ------------------------------------------------------------------ #
-    async def start(self) -> tuple[str, int]:
-        """Write the worker spec, spawn every shard, bind the front socket."""
+    async def _prepare(self) -> None:
+        """Write the worker spec and spawn every shard."""
         self._spec_path.write_text(self.spec.to_json() + "\n")
         await asyncio.gather(*(self._spawn(worker) for worker in self.workers))
-        self._server = await asyncio.start_server(
-            self._handle,
-            self.spec.host,
-            self.spec.port,
-            limit=self.spec.limits.max_frame_bytes,
-        )
-        self._started = time.perf_counter()
-        return self.address
-
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._server is not None, "front-end not started"
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
 
     # ------------------------------------------------------------------ #
     # Request routing
     # ------------------------------------------------------------------ #
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        #: shard index → (reader, writer) upstream connection of this client.
-        upstream: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
-        try:
-            while True:
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError:
-                    break
-                except asyncio.LimitOverrunError:
-                    while True:
-                        chunk = await reader.read(self.spec.limits.max_frame_bytes)
-                        if not chunk or b"\n" in chunk:
-                            break
-                    writer.write(
-                        encode_line(
-                            error_response(
-                                "frame_too_large",
-                                f"request line exceeds max_frame_bytes "
-                                f"({self.spec.limits.max_frame_bytes})",
-                                max_frame_bytes=self.spec.limits.max_frame_bytes,
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                try:
-                    request = decode_line(line)
-                except Exception as error:  # noqa: BLE001 - answered on the wire
-                    writer.write(encode_line(error_response("bad_request", str(error))))
-                    await writer.drain()
-                    continue
-                response = await self._dispatch(request, line, upstream)
-                writer.write(encode_line(response))
-                await writer.drain()
-                if request.get("op") == "shutdown":
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            for _, up_writer in upstream.values():
-                up_writer.close()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    async def _op_event(self, request: dict, line: bytes, upstream: dict) -> dict:
+        """Forward the event's frame to its tenant's shard on this client's link.
 
-    async def _dispatch(self, request: dict, raw_line: bytes, upstream: dict) -> dict:
-        op = request.get("op")
-        if op == "event":
-            return await self._route_event(request, raw_line, upstream)
-        if op == "status":
-            return {"ok": True, "status": await self.status()}
-        if op == "policies":
-            return {"ok": True, "policies": registry_payload()}
-        if op == "ping":
-            return {"ok": True}
-        if op == "shutdown":
-            summary = await self.shutdown()
-            return {"ok": True, "shutdown": summary}
-        return error_response("unknown_op", f"unknown op {op!r}")
-
-    async def _route_event(self, request: dict, raw_line: bytes, upstream: dict) -> dict:
-        if self._closing:
-            return error_response("draining", "server is draining; no new events accepted")
+        No deadline: a forward cancelled mid-read would leave the shard's
+        late answer to pair with the client's next request on the link.
+        """
         name = request.get("tenant")
         shard = self.routes.get(name)
         if shard is None:
@@ -396,19 +313,19 @@ class ShardedFrontend:
         try:
             if shard not in upstream:
                 upstream[shard] = await asyncio.open_connection(
-                    worker.host, worker.port, limit=self.spec.limits.max_frame_bytes
+                    worker.host, worker.port, limit=MAX_ANSWER_BYTES
                 )
             up_reader, up_writer = upstream[shard]
-            up_writer.write(raw_line)
+            up_writer.write(line)
             await up_writer.drain()
-            line = await up_reader.readline()
-            if not line:
+            reply = await up_reader.readline()
+            if not reply:
                 raise ConnectionError("shard closed the connection")
-            return decode_line(line)
-        except (ConnectionError, OSError):
-            # The shard died mid-exchange; drop the upstream connection and
-            # let the (idempotent, seq-carrying) client retry through the
-            # supervision window.
+            return decode_line(reply)
+        except (OSError, ValueError):
+            # The shard died mid-exchange (a reply torn by a kill does not
+            # decode); drop the upstream connection and let the (idempotent,
+            # seq-carrying) client retry through the supervision window.
             stale = upstream.pop(shard, None)
             if stale is not None:
                 stale[1].close()
@@ -421,28 +338,13 @@ class ShardedFrontend:
 
     # ------------------------------------------------------------------ #
     async def _worker_request(self, worker: _Worker, payload: dict) -> dict | None:
-        """One throwaway-connection control request to a worker; None if down."""
+        """One control request to a worker; None if it is down or answers garbage."""
         if not worker.alive:
             return None
         try:
-            up_reader, up_writer = await asyncio.open_connection(
-                worker.host, worker.port, limit=self.spec.limits.max_frame_bytes
-            )
-        except (ConnectionError, OSError):
+            return await request_once(worker.host, worker.port, payload)
+        except (OSError, ValueError):
             return None
-        try:
-            up_writer.write(encode_line(payload))
-            await up_writer.drain()
-            line = await up_reader.readline()
-            if not line:
-                return None
-            return decode_line(line)
-        except (ConnectionError, OSError):
-            return None
-        finally:
-            up_writer.close()
-            with contextlib.suppress(Exception):
-                await up_writer.wait_closed()
 
     async def status(self) -> dict:
         """The aggregated health surface: every shard's tenants + routes."""
@@ -487,13 +389,8 @@ class ShardedFrontend:
         }
 
     # ------------------------------------------------------------------ #
-    async def shutdown(self) -> dict:
-        """Fan the drain out to every worker; idempotent, safe to race."""
-        if self._shutdown_task is None:
-            self._shutdown_task = asyncio.ensure_future(self._drain())
-        return await asyncio.shield(self._shutdown_task)
-
     async def _drain(self) -> dict:
+        """Fan the drain out to every worker and merge their summaries."""
         self._closing = True
         summary: dict = {}
         responses = await asyncio.gather(
@@ -517,95 +414,20 @@ class ShardedFrontend:
                     worker.process.terminate()
                 with contextlib.suppress(TimeoutError):
                     await asyncio.wait_for(worker.process.wait(), timeout=30)
-        self.shutdown_summary = summary
-        self._shutdown_complete.set()
         return summary
 
-    async def run_until_shutdown(self) -> dict:
-        """Serve until a drain completes, then close the listener cleanly."""
-        assert self._server is not None, "front-end not started"
-        await self._shutdown_complete.wait()
-        self._server.close()
-        await self._server.wait_closed()
-        if self._conn_tasks:
-            _, pending = await asyncio.wait(set(self._conn_tasks), timeout=2.0)
-            for task in pending:
-                task.cancel()
-        return self.shutdown_summary or {}
-
-
-# ---------------------------------------------------------------------- #
-async def _afrontend(
-    spec: ServeSpec,
-    shards: int,
-    state_dir: Path,
-    resume: bool,
-    dataset_cache_dir: Path | None,
-    event_log_dir: Path | None,
-    fault_plan_path: Path | None,
-    announce: bool = True,
-) -> dict:
-    frontend = ShardedFrontend(
-        spec,
-        shards,
-        state_dir=state_dir,
-        resume=resume,
-        dataset_cache_dir=dataset_cache_dir,
-        event_log_dir=event_log_dir,
-        fault_plan_path=fault_plan_path,
-    )
-    host, port = await frontend.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(NotImplementedError, RuntimeError):
-            loop.add_signal_handler(sig, lambda: asyncio.ensure_future(frontend.shutdown()))
-    if announce:
-        print(
-            json.dumps(
-                {
-                    "serving": {
-                        "name": spec.name,
-                        "host": host,
-                        "port": port,
-                        "pid": os.getpid(),
-                        "shards": frontend.shards,
-                        "workers": {
-                            str(worker.index): {
-                                "host": worker.host,
-                                "port": worker.port,
-                                "pid": worker.pid,
-                                "tenants": worker.tenants,
-                            }
-                            for worker in frontend.workers
-                        },
-                        "tenants": sorted(frontend.routes),
-                        "state_dir": str(state_dir),
-                    }
+    def _announce_fields(self) -> dict:
+        return {
+            "shards": self.shards,
+            "workers": {
+                str(worker.index): {
+                    "host": worker.host,
+                    "port": worker.port,
+                    "pid": worker.pid,
+                    "tenants": worker.tenants,
                 }
-            ),
-            flush=True,
-        )
-    summary = await frontend.run_until_shutdown()
-    if announce:
-        print(json.dumps({"shutdown": summary}), flush=True)
-    return summary
-
-
-def run_frontend(spec: ServeSpec, shards: int, args: argparse.Namespace) -> int:
-    """CLI entry: serve ``spec`` sharded K ways (dispatched from serve.run)."""
-    state_dir = args.state_dir if args.state_dir is not None else Path("serve-state") / spec.name
-    try:
-        asyncio.run(
-            _afrontend(
-                spec,
-                shards,
-                state_dir,
-                not args.fresh,
-                args.cache_dir,
-                args.event_log,
-                args.fault_plan,
-            )
-        )
-    except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C before handlers
-        return 130
-    return 0
+                for worker in self.workers
+            },
+            "tenants": sorted(self.routes),
+            "state_dir": str(self.state_dir),
+        }

@@ -497,6 +497,16 @@ class TestVectorizedSumTree:
         queries = rng.uniform(0, tree.total, size=200)
         scalar = np.array([sumtree_find(tree, float(v)) for v in queries])
         np.testing.assert_array_equal(scalar, descend(tree, queries))
+        # Zero leaves, an empty right half and queries on the boundaries: a
+        # query at or just past a subtree's sum must stay out of empty ones.
+        sparse = SumTree(20)
+        priorities = rng.random(13) * 3
+        priorities[[2, 5, 6]] = 0.0
+        sparse.update_batch(np.arange(13), priorities)
+        total = sparse.total
+        edges = np.concatenate([[0.0, total, np.nextafter(total, np.inf)], np.cumsum(priorities)])
+        scalar = np.array([sumtree_find(sparse, float(v)) for v in edges])
+        np.testing.assert_array_equal(scalar, descend(sparse, edges))
 
     def test_randomized_interleaved_update_find_sequences(self):
         rng = np.random.default_rng(2)

@@ -106,11 +106,22 @@ class TestSumTree:
         assert find(tree, 5.9) == 2
 
     def test_rejects_invalid_updates(self):
-        tree = SumTree(4)
-        with pytest.raises(IndexError):
-            set_leaf(tree, 4, 1.0)
-        with pytest.raises(ValueError):
-            set_leaf(tree, 0, -1.0)
+        """Bad leaves and priorities are refused before anything is written.
+
+        One bad entry among good ones, in a single-leaf write, a small batch
+        (the per-leaf walk) and a batch of more than 8 leaves (vectorized).
+        """
+        tree = SumTree(16)
+        tree.update_batch(np.arange(16), np.ones(16))
+        before = tree._tree.copy()
+        bad_entries = ((16, 1.0, IndexError), (-1, 1.0, IndexError), (0, -1.0, ValueError))
+        for size in (1, 3, 12):
+            for index, priority, error in bad_entries:
+                indices, priorities = np.arange(size), np.full(size, 2.0)
+                indices[size // 2], priorities[size // 2] = index, priority
+                with pytest.raises(error):
+                    tree.update_batch(indices, priorities)
+                np.testing.assert_array_equal(tree._tree, before)
 
     @settings(max_examples=30, deadline=None)
     @given(

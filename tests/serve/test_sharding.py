@@ -9,15 +9,18 @@ spec's global tenant order, and each tenant's trajectory depends only on
 its own event sequence.
 """
 
+import asyncio
+import contextlib
 import json
 
 import pytest
 
+from repro.api.registry import registry_payload
 from repro.serve import ServeSpec
 from repro.serve.loadgen import run_loadgen
-from repro.serve.protocol import ServeClient
+from repro.serve.protocol import ServeClient, decode_line, encode_line, event_to_wire
 from repro.serve.server import checkpoint_phases
-from repro.serve.shard import partition_tenants, worker_spec
+from repro.serve.shard import ShardedFrontend, partition_tenants, worker_spec
 
 from tests.serve.conftest import (
     CI_SPEC_PATH,
@@ -178,3 +181,111 @@ class TestShardedExactness:
         # ...and the async tenant checkpointed on both sides.
         assert (single_dir / "gamma.npz").exists()
         assert (sharded_dir / "gamma.npz").exists()
+
+
+class TestFrontendEndpoint:
+    """The front-end speaks the hosting server's protocol and rides out bad shards."""
+
+    def test_shared_ops_and_hardening_match_the_server(self, cache_dir, tmp_path):
+        """The assertions the server's hardening tests make, on a 2-shard front-end.
+
+        The request budget is small, and shard answers longer than it (status,
+        decisions, drain summaries) still come through whole.
+        """
+        spec = _spec_with_tenants(["a", "b"], limits={"max_frame_bytes": 512})
+        dataset = spec.tenants[0].dataset.build(cache_dir=cache_dir)
+        _, online = dataset.trace.split_warmup(dataset.warmup_end)
+        frontend = FrontendThread(
+            spec, 2, state_dir=tmp_path, resume=False, dataset_cache_dir=cache_dir
+        )
+        try:
+            with ServeClient(*frontend.address) as client:
+                assert set(client.request({"op": "status"})["status"]["tenants"]) == {"a", "b"}
+                for seq, event in enumerate(online.events[:20]):
+                    assert client.request(event_to_wire("a", event, seq=seq))["ok"]
+                assert client.request({"op": "ping"}) == {"ok": True}
+                policies = client.request({"op": "policies"})
+                assert policies["ok"] and policies["policies"] == registry_payload()
+                unknown = client.request({"op": "fly"})
+                assert unknown["ok"] is False and unknown["code"] == "unknown_op"
+                client._sock.sendall(b"{not json\n")
+                garbage = json.loads(client._file.readline())
+                assert garbage["code"] == "bad_request"
+                assert "invalid JSON" in garbage["error"]
+                client._sock.sendall(
+                    json.dumps({"op": "ping", "pad": "x" * 2048}).encode() + b"\n"
+                )
+                oversized = json.loads(client._file.readline())
+                assert oversized["code"] == "frame_too_large"
+                assert oversized["max_frame_bytes"] == 512
+                # The connection survives both; the next request is served.
+                assert client.request({"op": "ping"}) == {"ok": True}
+                drained = client.request({"op": "shutdown"})
+                assert drained["ok"] and set(drained["shutdown"]) == {"a", "b"}
+                assert drained["shutdown"]["a"]["events_consumed"] == 20
+                assert drained["shutdown"]["b"]["error"] is None
+                # The shutdown answer was this connection's last line.
+                assert client._file.readline() == b""
+        finally:
+            with contextlib.suppress(OSError), ServeClient(*frontend.address) as client:
+                client.request({"op": "shutdown"})
+            frontend.join()
+
+    def test_torn_shard_reply_counts_as_a_dropped_shard(self, tmp_path):
+        """A shard killed mid-write leaves half a line before EOF.
+
+        The routed event answers ``tenant_restarting`` on a connection that
+        keeps serving, and the drain completes with the shard's tenants
+        reported unreachable instead of hanging the front-end.
+        """
+        spec = _spec_with_tenants(["a", "b"])
+
+        class LiveProcess:
+            pid = returncode = None
+
+            def terminate(self):
+                self.returncode = -15
+
+            async def wait(self):
+                return self.returncode
+
+        async def torn_reply(reader, writer):
+            await reader.readline()
+            writer.write(b'{"ok": tr')
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            stub = await asyncio.start_server(torn_reply, "127.0.0.1", 0)
+            frontend = ShardedFrontend(spec, 2, tmp_path)
+
+            async def spawn(worker):
+                worker.process = LiveProcess()
+                worker.host, worker.port = stub.sockets[0].getsockname()[:2]
+
+            frontend._spawn = spawn
+            host, port = await frontend.start()
+            served = asyncio.ensure_future(frontend.run_until_shutdown())
+            reader, writer = await asyncio.open_connection(host, port)
+
+            async def request(payload):
+                writer.write(encode_line(payload))
+                await writer.drain()
+                return decode_line(await asyncio.wait_for(reader.readline(), timeout=30))
+
+            event = {"op": "event", "tenant": "a", "kind": "worker_arrival",
+                     "subject_id": 1, "timestamp": 0.0}
+            routed = await request(event)
+            assert routed["ok"] is False and routed["code"] == "tenant_restarting"
+            assert await request({"op": "ping"}) == {"ok": True}
+            drained = (await request({"op": "shutdown"}))["shutdown"]
+            assert drained["a"]["error"] == "shard 0 unreachable at drain"
+            assert drained["b"]["error"] == "shard 1 unreachable at drain"
+            assert await asyncio.wait_for(served, timeout=30) == drained
+            late = await frontend._answer(event, encode_line(event), {})
+            assert late["code"] == "draining"
+            writer.close()
+            stub.close()
+            await stub.wait_closed()
+
+        asyncio.run(scenario())
