@@ -7,17 +7,28 @@ round-trips through JSON.  :func:`run_spec` executes it and returns one
 :class:`repro.eval.metrics.EvaluationResult` per policy, which is the single
 execution path shared by ``repro.eval.experiments``, the ``examples/``
 scripts and the ``python -m repro`` CLI.
+
+This module also holds the spec codec every spec type uses (experiment,
+sweep, serve, limits, supervisor and fault-plan documents): :class:`JsonSpec`
+supplies ``to_dict``/``from_dict``/``to_json``/``from_json``/``save``/``load``.
+Decoding is :func:`decode`: unknown keys raise ``unknown <what> keys``, a
+nested section decodes through its own class (so that class's checks run at
+any depth), ``int``/``float`` fields are coerced, and everything else reaches
+the dataclass's own validation.  Encoding writes every field, ``null`` for
+unset optionals; documents that leave optional fields out decode to the same
+objects.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 from ..datasets import CrowdDataset, cached_crowdspring, generate_crowdspring
 from ..eval.metrics import EvaluationResult
@@ -25,26 +36,98 @@ from ..eval.runner import RunnerConfig, SimulationRunner, VectorizedRunner
 from ..nn.threads import blas_share, blas_threads
 from .registry import build_policy, policy_entry
 
-__all__ = ["DatasetSpec", "PolicySpec", "ExperimentSpec", "run_spec"]
+__all__ = ["JsonSpec", "DatasetSpec", "PolicySpec", "ExperimentSpec", "decode", "run_spec"]
 
 
-def _from_known_fields(cls, data: dict, what: str):
-    """Instantiate a dataclass from a dict, rejecting unknown keys loudly."""
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name → decoding type (``X | None`` unwrapped), resolved once per class."""
+    hints = get_type_hints(cls)
+    types = {}
+    for spec_field in fields(cls):
+        hint = hints[spec_field.name]
+        if type(None) in get_args(hint):
+            hint = next(arg for arg in get_args(hint) if arg is not type(None))
+        types[spec_field.name] = hint
+    return types
+
+
+def _decode_field(hint, name: str, value):
+    """One field's JSON value: nested specs decode through their own class."""
+    if get_origin(hint) is list and is_dataclass(get_args(hint)[0]):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} section must be a JSON array")
+        return [_decode_field(get_args(hint)[0], name, entry) for entry in value]
+    if is_dataclass(hint):
+        return hint.from_dict(value) if issubclass(hint, JsonSpec) else decode(hint, value, name)
+    if hint in (int, float) and value is not None:
+        return hint(value)
+    return value
+
+
+def decode(cls, data: dict, what: str):
+    """Instantiate a dataclass from a JSON object, rejecting unknown keys loudly.
+
+    Fields typed as a dataclass (or a list of one) decode through that
+    class's own ``from_dict``, so its checks run at any depth; ``int`` and
+    ``float`` fields are coerced; any other value reaches the dataclass's own
+    validation.  ``what`` names the document in errors.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    types = _field_types(cls)
+    unknown = set(data) - set(types)
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)} (known: {sorted(known)})")
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)} (known: {sorted(types)})")
     try:
-        return cls(**data)
+        return cls(**{key: _decode_field(types[key], key, value) for key, value in data.items()})
     except TypeError as error:
         raise ValueError(f"invalid {what}: {error}") from None
 
 
+class JsonSpec:
+    """Dataclass ⇄ JSON, written once for every spec type.
+
+    ``to_dict`` writes every field; ``from_dict`` is :func:`decode`.  A
+    subclass sets ``what`` (its name in errors) and overrides ``from_dict``
+    only for checks that apply to parsed input.
+    """
+
+    what = "spec"
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return decode(cls, data, cls.what)
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+    def save(self, path: str | Path) -> Path:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.to_json() + "\n")
+        return path
+
+    @classmethod
+    def load(cls, path: str | Path):
+        path = Path(path)
+        if not path.exists():
+            raise FileNotFoundError(f"no {cls.what} at {path}")
+        return cls.from_json(path.read_text())
+
+
 @dataclass
-class DatasetSpec:
+class DatasetSpec(JsonSpec):
     """Which CrowdSpring-like trace to generate (see ``generate_crowdspring``)."""
+
+    what = "dataset spec"
 
     scale: float = 1.0
     num_months: int = 13
@@ -67,17 +150,12 @@ class DatasetSpec:
             )
         return generate_crowdspring(scale=self.scale, num_months=self.num_months, seed=self.seed)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatasetSpec":
-        return _from_known_fields(cls, data, "dataset spec")
-
 
 @dataclass
-class PolicySpec:
+class PolicySpec(JsonSpec):
     """One (registered policy name, builder kwargs) entry of an experiment."""
+
+    what = "policy spec"
 
     policy: str
     kwargs: dict = field(default_factory=dict)
@@ -85,17 +163,9 @@ class PolicySpec:
     #: display name); needed when one spec runs the same policy twice.
     label: str | None = None
 
-    def to_dict(self) -> dict:
-        data: dict = {"policy": self.policy}
-        if self.kwargs:
-            data["kwargs"] = dict(self.kwargs)
-        if self.label is not None:
-            data["label"] = self.label
-        return data
-
     @classmethod
     def from_dict(cls, data: dict) -> "PolicySpec":
-        spec = _from_known_fields(cls, data, "policy spec")
+        spec = super().from_dict(data)
         if not isinstance(spec.policy, str) or not spec.policy:
             raise ValueError("policy spec requires a non-empty 'policy' name")
         if not isinstance(spec.kwargs, dict):
@@ -104,39 +174,19 @@ class PolicySpec:
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(JsonSpec):
     """A full experiment: dataset + runner configuration + policy line-up."""
+
+    what = "experiment spec"
 
     name: str = "experiment"
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     runner: RunnerConfig = field(default_factory=RunnerConfig)
     policies: list[PolicySpec] = field(default_factory=list)
 
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dataset": self.dataset.to_dict(),
-            "runner": asdict(self.runner),
-            "policies": [policy.to_dict() for policy in self.policies],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"experiment spec must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {"name", "dataset", "runner", "policies"}
-        if unknown:
-            raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
-        policies_data = data.get("policies", [])
-        if not isinstance(policies_data, list):
-            raise ValueError("policies section must be a JSON array")
-        spec = cls(
-            name=str(data.get("name", "experiment")),
-            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
-            runner=_from_known_fields(RunnerConfig, data.get("runner", {}), "runner"),
-            policies=[PolicySpec.from_dict(entry) for entry in policies_data],
-        )
+        spec = super().from_dict(data)
         # Reject ambiguous line-ups at parse time: repeated labels, or the
         # same policy repeated without distinguishing labels, would collide
         # in the results dict (the old behaviour silently kept the last
@@ -156,27 +206,6 @@ class ExperimentSpec:
                 )
             pool.add(key)
         return spec
-
-    # ------------------------------------------------------------------ #
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExperimentSpec":
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"no experiment spec at {path}")
-        return cls.from_json(path.read_text())
 
 
 #: Characters unsafe in filenames derived from labels / axis values (shared

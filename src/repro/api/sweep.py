@@ -33,7 +33,6 @@ import json
 import math
 import multiprocessing
 import os
-import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -44,7 +43,7 @@ from ..nn.threads import blas_share, set_num_threads
 from .spec import (
     DatasetSpec,
     ExperimentSpec,
-    _from_known_fields,
+    JsonSpec,
     _policy_jobs,
     _UNSAFE_COMPONENT,
     run_spec,
@@ -79,7 +78,7 @@ def _format_value(value: object) -> str:
 
 
 @dataclass
-class SweepAxis:
+class SweepAxis(JsonSpec):
     """One grid dimension: vary ``key`` of ``target`` over ``values``.
 
     ``target`` selects what is varied:
@@ -91,6 +90,8 @@ class SweepAxis:
       optionally restricts the axis to the entries with that registry name
       (``None`` applies it to every entry).
     """
+
+    what = "sweep axis"
 
     target: str
     key: str
@@ -149,17 +150,6 @@ class SweepAxis:
                     f"({[entry.policy for entry in spec.policies]})"
                 )
 
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        data: dict = {"target": self.target, "key": self.key, "values": list(self.values)}
-        if self.policy is not None:
-            data["policy"] = self.policy
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepAxis":
-        return _from_known_fields(cls, data, "sweep axis")
-
 
 @dataclass
 class SweepCell:
@@ -174,8 +164,10 @@ class SweepCell:
 
 
 @dataclass
-class SweepSpec:
+class SweepSpec(JsonSpec):
     """A whole sweep as data: base experiment + grid axes (JSON ⇄ dataclass)."""
+
+    what = "sweep spec"
 
     name: str = "sweep"
     base: ExperimentSpec = field(default_factory=ExperimentSpec)
@@ -229,54 +221,6 @@ class SweepSpec:
                 )
             )
         return cells
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        data: dict = {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-        }
-        if self.replicate_axis is not None:
-            data["replicate_axis"] = self.replicate_axis
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"sweep spec must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {"name", "base", "axes", "replicate_axis"}
-        if unknown:
-            raise ValueError(f"unknown sweep spec keys: {sorted(unknown)}")
-        axes_data = data.get("axes", [])
-        if not isinstance(axes_data, list):
-            raise ValueError("axes section must be a JSON array")
-        return cls(
-            name=str(data.get("name", "sweep")),
-            base=ExperimentSpec.from_dict(data.get("base", {})),
-            axes=[SweepAxis.from_dict(entry) for entry in axes_data],
-            replicate_axis=data.get("replicate_axis"),
-        )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SweepSpec":
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"no sweep spec at {path}")
-        return cls.from_json(path.read_text())
 
 
 # --------------------------------------------------------------------- #

@@ -25,7 +25,6 @@ import numpy as np
 from ..crowd.arrivals import WorkerArrivalStatistics
 from ..crowd.features import FeatureSchema
 from ..crowd.platform import ArrivalContext, Feedback
-from ..crowd.quality import DixitStiglitzQuality
 from ..nn.dtype import resolve_dtype
 from ..nn.serialization import load_checkpoint, save_checkpoint
 from .agent import AgentConfig, DQNAgent
@@ -58,6 +57,12 @@ __all__ = [
 #: that sharing.
 CHECKPOINT_FORMAT = "repro.framework/3"
 
+
+def _drop_quality_p(tree: dict) -> dict:
+    """``FrameworkConfig.quality_p`` was never read; trees that carry it drop it."""
+    return {key: value for key, value in tree.items() if key != "quality_p"}
+
+
 #: Per-format config migrations: each entry upgrades the *config tree* of a
 #: checkpoint written at that format to the current :class:`FrameworkConfig`
 #: vocabulary (renames, restructures).  Fields that were *added* after a
@@ -66,8 +71,8 @@ CHECKPOINT_FORMAT = "repro.framework/3"
 #: loading as the framework grows new knobs.  Truly unknown keys (typos,
 #: removed fields without a rename rule) are still rejected loudly.
 _CONFIG_MIGRATIONS: dict[str, list] = {
-    "repro.framework/2": [],
-    CHECKPOINT_FORMAT: [],
+    "repro.framework/2": [_drop_quality_p],
+    CHECKPOINT_FORMAT: [_drop_quality_p],
 }
 
 
@@ -158,8 +163,6 @@ class FrameworkConfig:
     #: Exploration settings.
     perturb_probability: float = 0.1
     explorer_anneal_steps: int = 5_000
-    #: Dixit–Stiglitz exponent used to recompute quality columns.
-    quality_p: float = 2.0
     seed: int = 0
 
 
@@ -193,7 +196,6 @@ class TaskArrangementFramework(ArrangementPolicy):
             raise ValueError("at least one of the two MDPs must be enabled")
         resolve_dtype(self.config.dtype)  # fail fast on unsupported precisions
         self.rng = np.random.default_rng(self.config.seed)
-        self.quality_model = DixitStiglitzQuality(self.config.quality_p)
         #: State tree this framework was restored from (set by :meth:`load`);
         #: :meth:`reset` returns to it instead of re-initialising from scratch.
         self._restore_state: dict | None = None

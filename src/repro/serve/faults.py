@@ -52,15 +52,20 @@ Example plan::
         {"site": "tenant_loop", "tenant": "alpha", "after": 30, "times": 1}
       ]
     }
+
+A plan reads and writes this shape through the spec codec
+(:class:`repro.api.spec.JsonSpec`): fields left out take their defaults,
+unknown keys raise ``unknown fault plan keys`` / ``unknown fault spec keys``,
+and a saved plan writes every fault field (``null`` for unset ones).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
+
+from ..api.spec import JsonSpec
 
 __all__ = ["FAULT_SITES", "FaultEvent", "FaultSpec", "FaultPlan", "InjectedFault"]
 
@@ -112,8 +117,10 @@ class FaultEvent:
 
 
 @dataclass
-class FaultSpec:
+class FaultSpec(JsonSpec):
     """One deterministic failure schedule at one site."""
+
+    what = "fault spec"
 
     site: str
     tenant: str | None = None
@@ -124,10 +131,6 @@ class FaultSpec:
     probability: float | None = None
     delay_ms: float = 0.0
     message: str = ""
-
-    _KEYS = frozenset(
-        {"site", "tenant", "op", "after", "every", "times", "probability", "delay_ms", "message"}
-    )
 
     def __post_init__(self) -> None:
         if self.site not in FAULT_SITES:
@@ -158,48 +161,19 @@ class FaultSpec:
         """Does the schedule allow firing at this (1-based) visit?"""
         return visit >= self.after and (visit - self.after) % self.every == 0
 
-    def to_dict(self) -> dict:
-        data: dict = {"site": self.site}
-        if self.tenant is not None:
-            data["tenant"] = self.tenant
-        if self.op is not None:
-            data["op"] = self.op
-        data["after"] = self.after
-        data["every"] = self.every
-        data["times"] = self.times
-        if self.probability is not None:
-            data["probability"] = self.probability
-        if self.delay_ms:
-            data["delay_ms"] = self.delay_ms
-        if self.message:
-            data["message"] = self.message
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"fault spec must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - cls._KEYS
-        if unknown:
-            raise ValueError(f"unknown fault spec keys: {sorted(unknown)}")
-        if "site" not in data:
-            raise ValueError("fault spec is missing its 'site' key")
-        return cls(
-            site=str(data["site"]),
-            tenant=data.get("tenant"),
-            op=data.get("op"),
-            after=int(data.get("after", 1)),
-            every=int(data.get("every", 1)),
-            times=None if data.get("times", 1) is None else int(data.get("times", 1)),
-            probability=(
-                None if data.get("probability") is None else float(data["probability"])
-            ),
-            delay_ms=float(data.get("delay_ms", 0.0)),
-            message=str(data.get("message", "")),
-        )
+@dataclass
+class _PlanDocument(JsonSpec):
+    """The JSON shape of a :class:`FaultPlan`."""
+
+    what = "fault plan"
+
+    name: str = "faults"
+    seed: int = 0
+    faults: list[FaultSpec] = field(default_factory=list)
 
 
-class FaultPlan:
+class FaultPlan(JsonSpec):
     """A seeded set of fault specs with deterministic firing decisions.
 
     Thread-safe: sites are probed from the asyncio loop thread *and* from
@@ -207,6 +181,8 @@ class FaultPlan:
     plan's firing sequence depends only on the order of probe calls (which
     tenant-scoped specs make deterministic per tenant).
     """
+
+    what = "fault plan"
 
     def __init__(self, specs: list[FaultSpec], seed: int = 0, name: str = "faults") -> None:
         self.name = name
@@ -291,37 +267,9 @@ class FaultPlan:
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "faults": [spec.to_dict() for spec in self.specs],
-        }
+        return _PlanDocument(self.name, self.seed, self.specs).to_dict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise ValueError(f"fault plan must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {"name", "seed", "faults"}
-        if unknown:
-            raise ValueError(f"unknown fault plan keys: {sorted(unknown)}")
-        faults = data.get("faults", [])
-        if not isinstance(faults, list):
-            raise ValueError("fault plan 'faults' must be a JSON array")
-        return cls(
-            specs=[FaultSpec.from_dict(entry) for entry in faults],
-            seed=int(data.get("seed", 0)),
-            name=str(data.get("name", "faults")),
-        )
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FaultPlan":
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"no fault plan at {path}")
-        return cls.from_dict(json.loads(path.read_text()))
+        document = _PlanDocument.from_dict(data)
+        return cls(document.faults, seed=document.seed, name=document.name)

@@ -47,7 +47,10 @@ always resend from its cursor and converge on the server's.
 
 :class:`ProtocolLimits` bundles the hardening knobs (max frame size,
 per-request deadline, queue-depth backpressure, trainer-lag degradation)
-a :class:`~repro.serve.spec.ServeSpec` can override under ``"limits"``.
+a :class:`~repro.serve.spec.ServeSpec` can override under ``"limits"``; it
+decodes through the spec codec (:class:`repro.api.spec.JsonSpec`), so unknown
+keys raise ``unknown limits keys``, and the ``status`` op reports it as
+``to_dict()`` writes it.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import json
 import socket
 from dataclasses import dataclass
 
+from ..api.spec import JsonSpec
 from ..crowd.events import Event, EventType
 
 __all__ = [
@@ -109,8 +113,10 @@ def error_response(code: str, message: str, **extra) -> dict:
 
 
 @dataclass
-class ProtocolLimits:
+class ProtocolLimits(JsonSpec):
     """Hardening knobs of one serving endpoint (spec section ``"limits"``)."""
+
+    what = "limits"
 
     #: Largest accepted request line; longer frames answer ``frame_too_large``.
     max_frame_bytes: int = 1 << 20
@@ -123,10 +129,6 @@ class ProtocolLimits:
     #: serving).
     degrade_queue_lag: int = 512
 
-    _KEYS = frozenset(
-        {"max_frame_bytes", "request_timeout_s", "max_queue_depth", "degrade_queue_lag"}
-    )
-
     def __post_init__(self) -> None:
         if self.max_frame_bytes < 256:
             raise ValueError(f"max_frame_bytes must be >= 256, got {self.max_frame_bytes}")
@@ -137,30 +139,6 @@ class ProtocolLimits:
         if self.degrade_queue_lag < 1:
             raise ValueError(f"degrade_queue_lag must be >= 1, got {self.degrade_queue_lag}")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_frame_bytes": self.max_frame_bytes,
-            "request_timeout_s": self.request_timeout_s,
-            "max_queue_depth": self.max_queue_depth,
-            "degrade_queue_lag": self.degrade_queue_lag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProtocolLimits":
-        if not isinstance(data, dict):
-            raise ValueError(f"limits must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - cls._KEYS
-        if unknown:
-            raise ValueError(f"unknown limits keys: {sorted(unknown)}")
-        defaults = cls()
-        return cls(
-            max_frame_bytes=int(data.get("max_frame_bytes", defaults.max_frame_bytes)),
-            request_timeout_s=float(
-                data.get("request_timeout_s", defaults.request_timeout_s)
-            ),
-            max_queue_depth=int(data.get("max_queue_depth", defaults.max_queue_depth)),
-            degrade_queue_lag=int(data.get("degrade_queue_lag", defaults.degrade_queue_lag)),
-        )
 
 #: Accepted ``kind`` values (the :class:`EventType` wire names).
 _KINDS = {member.value: member for member in EventType}

@@ -126,7 +126,9 @@ class Endpoint:
         self._closing = False
         self._shutdown_task: asyncio.Task | None = None
         self._shutdown_complete = asyncio.Event()
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: Live connection task → the links a front-end opened upstream for
+        #: that client (shard index → (reader, writer)), closed with it.
+        self._connections: dict[asyncio.Task, dict] = {}
 
     async def _prepare(self) -> None:
         """Ready what this endpoint serves; :meth:`start` runs it before the bind."""
@@ -173,11 +175,8 @@ class Endpoint:
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        #: Shard index → (reader, writer): the connections a front-end opened
-        #: upstream for this client, closed with it.
         upstream: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
+        self._connections[task] = upstream
         try:
             while True:
                 line = await self._read_frame(reader)
@@ -209,8 +208,7 @@ class Endpoint:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
+            del self._connections[task]
             for _, up_writer in upstream.values():
                 up_writer.close()
             writer.close()
@@ -276,10 +274,10 @@ class Endpoint:
         await self._shutdown_complete.wait()
         self._server.close()
         await self._server.wait_closed()
-        if self._conn_tasks:
+        if self._connections:
             # Give in-flight responses (including the shutdown op's own
             # answer) a moment to flush, then drop lingering idle clients.
-            _, pending = await asyncio.wait(set(self._conn_tasks), timeout=2.0)
+            _, pending = await asyncio.wait(set(self._connections), timeout=2.0)
             for task in pending:
                 task.cancel()
         return self.shutdown_summary or {}

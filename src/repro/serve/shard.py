@@ -310,31 +310,39 @@ class ShardedFrontend(Endpoint):
                 f"shard {shard} (hosting tenant {name!r}) is restarting; retry shortly",
                 retry_after_ms=100,
             )
+        # In flight, the link is out of ``upstream``: the drain closes only
+        # idle links, and this forward puts its link back once answered.
+        link = upstream.pop(shard, None)
+        answered = False
         try:
-            if shard not in upstream:
-                upstream[shard] = await asyncio.open_connection(
+            if link is None:
+                link = await asyncio.open_connection(
                     worker.host, worker.port, limit=MAX_ANSWER_BYTES
                 )
-            up_reader, up_writer = upstream[shard]
+            up_reader, up_writer = link
             up_writer.write(line)
             await up_writer.drain()
             reply = await up_reader.readline()
             if not reply:
                 raise ConnectionError("shard closed the connection")
-            return decode_line(reply)
+            response = decode_line(reply)
+            answered = True
+            return response
         except (OSError, ValueError):
             # The shard died mid-exchange (a reply torn by a kill does not
             # decode); drop the upstream connection and let the (idempotent,
             # seq-carrying) client retry through the supervision window.
-            stale = upstream.pop(shard, None)
-            if stale is not None:
-                stale[1].close()
             return error_response(
                 "tenant_restarting",
                 f"shard {shard} (hosting tenant {name!r}) dropped the "
                 "connection; retry shortly",
                 retry_after_ms=100,
             )
+        finally:
+            if answered and not self._closing:
+                upstream[shard] = link
+            elif link is not None:
+                link[1].close()
 
     # ------------------------------------------------------------------ #
     async def _worker_request(self, worker: _Worker, payload: dict) -> dict | None:
@@ -392,6 +400,12 @@ class ShardedFrontend(Endpoint):
     async def _drain(self) -> dict:
         """Fan the drain out to every worker and merge their summaries."""
         self._closing = True
+        # A worker's drain waits for its open connections: close every idle
+        # upstream link first (forwards in flight close their own).
+        for upstream in self._connections.values():
+            for _, up_writer in upstream.values():
+                up_writer.close()
+            upstream.clear()
         summary: dict = {}
         responses = await asyncio.gather(
             *(self._worker_request(worker, {"op": "shutdown"}) for worker in self.workers)

@@ -27,21 +27,21 @@ deadline, queue-depth backpressure, trainer-lag degradation threshold) and
 is restarted from its last checkpoint, and the exponential backoff between
 attempts).  Both default sensibly when omitted.
 
-Unknown keys anywhere raise at parse time (the spec layer's usual loud
-rejection), tenant names must be unique filesystem-safe slugs (they become
+Every section reads and writes JSON through the spec codec
+(:class:`repro.api.spec.JsonSpec`): unknown keys at any depth raise
+``unknown <section> keys``, and ``to_dict`` writes every field.  On top of
+that, tenant names must be unique filesystem-safe slugs (they become
 checkpoint file stems), and every policy name is validated against the
 registry before any dataset is generated.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..api.registry import policy_entry
-from ..api.spec import DatasetSpec, PolicySpec, _from_known_fields
+from ..api.spec import DatasetSpec, JsonSpec, PolicySpec
 from ..eval.runner import RunnerConfig
 from .protocol import ProtocolLimits
 
@@ -53,7 +53,7 @@ _TENANT_NAME = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
 
 
 @dataclass
-class SupervisorSpec:
+class SupervisorSpec(JsonSpec):
     """Restart policy for failed tenants (spec section ``"supervisor"``).
 
     A tenant that raises out of its replica loop is restarted in-process from
@@ -63,11 +63,11 @@ class SupervisorSpec:
     tenant stays ``failed`` and its requests answer ``tenant_failed``.
     """
 
+    what = "supervisor"
+
     max_restarts: int = 3
     backoff_base_s: float = 0.05
     backoff_max_s: float = 2.0
-
-    _KEYS = frozenset({"max_restarts", "backoff_base_s", "backoff_max_s"})
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
@@ -84,72 +84,33 @@ class SupervisorSpec:
         """The sleep before restart attempt ``restarts + 1``."""
         return min(self.backoff_base_s * (2.0**restarts), self.backoff_max_s)
 
-    def to_dict(self) -> dict:
-        return {
-            "max_restarts": self.max_restarts,
-            "backoff_base_s": self.backoff_base_s,
-            "backoff_max_s": self.backoff_max_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SupervisorSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"supervisor must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - cls._KEYS
-        if unknown:
-            raise ValueError(f"unknown supervisor keys: {sorted(unknown)}")
-        defaults = cls()
-        return cls(
-            max_restarts=int(data.get("max_restarts", defaults.max_restarts)),
-            backoff_base_s=float(data.get("backoff_base_s", defaults.backoff_base_s)),
-            backoff_max_s=float(data.get("backoff_max_s", defaults.backoff_max_s)),
-        )
-
 
 @dataclass
-class TenantSpec:
+class TenantSpec(JsonSpec):
     """One hosted tenant: a named (dataset, runner, policy) triple."""
+
+    what = "tenant spec"
 
     name: str
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     runner: RunnerConfig = field(default_factory=RunnerConfig)
     policy: PolicySpec = field(default_factory=lambda: PolicySpec(policy="random"))
 
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return {
-            "name": self.name,
-            "dataset": self.dataset.to_dict(),
-            "runner": asdict(self.runner),
-            "policy": self.policy.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"tenant spec must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {"name", "dataset", "runner", "policy"}
-        if unknown:
-            raise ValueError(f"unknown tenant spec keys: {sorted(unknown)}")
-        name = data.get("name")
-        if not isinstance(name, str) or not _TENANT_NAME.match(name):
+        spec = super().from_dict(data)
+        if not isinstance(spec.name, str) or not _TENANT_NAME.match(spec.name):
             raise ValueError(
-                f"tenant name {name!r} must be a lowercase slug "
+                f"tenant name {spec.name!r} must be a lowercase slug "
                 "(letters, digits, '-' and '_', starting with a letter or digit)"
             )
         if "policy" not in data:
-            raise ValueError(f"tenant {name!r} is missing its 'policy' section")
-        return cls(
-            name=name,
-            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
-            runner=_from_known_fields(RunnerConfig, data.get("runner", {}), "runner"),
-            policy=PolicySpec.from_dict(data["policy"]),
-        )
+            raise ValueError(f"tenant {spec.name!r} is missing its 'policy' section")
+        return spec
 
 
 @dataclass
-class ServeSpec:
+class ServeSpec(JsonSpec):
     """A full server: TCP endpoint + tenant line-up.
 
     ``shards > 1`` asks ``repro serve`` to scale the endpoint out across
@@ -162,6 +123,8 @@ class ServeSpec:
     single-process one fed the same events.
     """
 
+    what = "serve spec"
+
     name: str = "serve"
     host: str = "127.0.0.1"
     port: int = 7600
@@ -170,39 +133,9 @@ class ServeSpec:
     supervisor: SupervisorSpec = field(default_factory=SupervisorSpec)
     shards: int = 1
 
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "host": self.host,
-            "port": self.port,
-            "tenants": [tenant.to_dict() for tenant in self.tenants],
-            "limits": self.limits.to_dict(),
-            "supervisor": self.supervisor.to_dict(),
-            "shards": self.shards,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ServeSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"serve spec must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {
-            "name", "host", "port", "tenants", "limits", "supervisor", "shards"
-        }
-        if unknown:
-            raise ValueError(f"unknown serve spec keys: {sorted(unknown)}")
-        tenants_data = data.get("tenants", [])
-        if not isinstance(tenants_data, list):
-            raise ValueError("tenants section must be a JSON array")
-        spec = cls(
-            name=str(data.get("name", "serve")),
-            host=str(data.get("host", "127.0.0.1")),
-            port=int(data.get("port", 7600)),
-            tenants=[TenantSpec.from_dict(entry) for entry in tenants_data],
-            limits=ProtocolLimits.from_dict(data.get("limits", {})),
-            supervisor=SupervisorSpec.from_dict(data.get("supervisor", {})),
-            shards=int(data.get("shards", 1)),
-        )
+        spec = super().from_dict(data)
         if not spec.tenants:
             raise ValueError(f"serve spec {spec.name!r} lists no tenants")
         if not (0 <= spec.port <= 65535):
@@ -220,24 +153,3 @@ class ServeSpec:
             # Fail fast on typo'd policy names before any dataset generation.
             policy_entry(tenant.policy.policy)
         return spec
-
-    # ------------------------------------------------------------------ #
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeSpec":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ServeSpec":
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"no serve spec at {path}")
-        return cls.from_json(path.read_text())

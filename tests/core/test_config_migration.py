@@ -54,6 +54,12 @@ class TestMigrateConfigTree:
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
             migrate_config_tree(asdict(FrameworkConfig(**TINY)), "repro.framework/1")
 
+    @pytest.mark.parametrize("checkpoint_format", ["repro.framework/2", CHECKPOINT_FORMAT])
+    def test_removed_quality_p_knob_is_dropped(self, checkpoint_format):
+        """Trees written while ``FrameworkConfig.quality_p`` existed still load."""
+        tree = {**asdict(FrameworkConfig(**TINY)), "quality_p": 3.0}
+        assert migrate_config_tree(tree, checkpoint_format) == FrameworkConfig(**TINY)
+
 
 class TestFrameworkLoadMigration:
     def test_checkpoint_with_missing_config_keys_loads(self, schema, tmp_path):
@@ -76,6 +82,21 @@ class TestFrameworkLoadMigration:
                 state["agent_w"]["learner"]["online"][name],
                 restored_state["agent_w"]["learner"]["online"][name],
             )
+
+    def test_checkpoint_carrying_quality_p_loads_with_equal_parameters(self, schema, tmp_path):
+        framework = TaskArrangementFramework.worker_only(schema, FrameworkConfig(**TINY))
+        path = framework.save(tmp_path / "with-quality-p.npz")
+        tree = load_checkpoint(path)
+        assert tree["format"] == CHECKPOINT_FORMAT
+        tree["config"]["quality_p"] = 2.0
+        save_checkpoint(tree, path)
+
+        restored = TaskArrangementFramework.load(path)
+        assert restored.config == framework.config
+        state = framework.state_dict()
+        restored_state = restored.state_dict()
+        for name, value in state["agent_w"]["learner"]["online"].items():
+            assert np.array_equal(value, restored_state["agent_w"]["learner"]["online"][name])
 
     def test_checkpoint_with_unknown_config_key_is_rejected(self, schema, tmp_path):
         framework = TaskArrangementFramework.worker_only(schema, FrameworkConfig(**TINY))

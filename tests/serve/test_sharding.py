@@ -12,6 +12,7 @@ its own event sequence.
 import asyncio
 import contextlib
 import json
+import time
 
 import pytest
 
@@ -230,6 +231,43 @@ class TestFrontendEndpoint:
             with contextlib.suppress(OSError), ServeClient(*frontend.address) as client:
                 client.request({"op": "shutdown"})
             frontend.join()
+
+    @pytest.mark.parametrize("same_connection", [True, False], ids=["same", "second"])
+    def test_drain_is_prompt_while_a_routing_client_stays_connected(
+        self, same_connection, cache_dir, tmp_path, capfd
+    ):
+        """Idle upstream links do not hold the workers' drains.
+
+        A client routes events to both shards and stays connected; the
+        ``shutdown`` answer (on that connection or a second one) must not
+        wait out each worker's connection grace, and no worker cancels a
+        lingering connection task.
+        """
+        spec = _spec_with_tenants(["a", "b"])
+        frontend = FrontendThread(
+            spec, 2, state_dir=tmp_path, resume=False, dataset_cache_dir=cache_dir
+        )
+        try:
+            with ServeClient(*frontend.address) as client:
+                for tenant in spec.tenants:
+                    dataset = tenant.dataset.build(cache_dir=cache_dir)
+                    _, online = dataset.trace.split_warmup(dataset.warmup_end)
+                    for seq, event in enumerate(online.events[:10]):
+                        assert client.request(event_to_wire(tenant.name, event, seq=seq))["ok"]
+                started = time.perf_counter()
+                if same_connection:
+                    drained = client.request({"op": "shutdown"})
+                else:
+                    with ServeClient(*frontend.address) as second:
+                        drained = second.request({"op": "shutdown"})
+                elapsed = time.perf_counter() - started
+        finally:
+            with contextlib.suppress(OSError), ServeClient(*frontend.address) as client:
+                client.request({"op": "shutdown"})
+            frontend.join()
+        assert drained["ok"] and set(drained["shutdown"]) == {"a", "b"}
+        assert elapsed < 1.0, f"shutdown answered in {elapsed:.2f}s"
+        assert "CancelledError" not in capfd.readouterr().err
 
     def test_torn_shard_reply_counts_as_a_dropped_shard(self, tmp_path):
         """A shard killed mid-write leaves half a line before EOF.
