@@ -13,16 +13,15 @@ sweep, serve, limits, supervisor and fault-plan documents): :class:`JsonSpec`
 supplies ``to_dict``/``from_dict``/``to_json``/``from_json``/``save``/``load``.
 Decoding is :func:`decode`: unknown keys raise ``unknown <what> keys``, a
 nested section decodes through its own class (so that class's checks run at
-any depth), ``int``/``float`` fields are coerced, and everything else reaches
-the dataclass's own validation.  Encoding writes every field, ``null`` for
-unset optionals; documents that leave optional fields out decode to the same
-objects.
+any depth), ``int``/``float`` fields are coerced, ``null`` is accepted only
+by ``X | None`` fields, and everything else reaches the dataclass's own
+validation.  Encoding writes every field, ``null`` for unset optionals;
+documents that leave optional fields out decode to the same objects.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,7 @@ from typing import Iterator, get_args, get_origin, get_type_hints
 
 from ..datasets import CrowdDataset, cached_crowdspring, generate_crowdspring
 from ..eval.metrics import EvaluationResult
-from ..eval.runner import RunnerConfig, SimulationRunner, VectorizedRunner
+from ..eval.runner import RunnerConfig, SimulationRunner, run_replicas
 from ..nn.threads import blas_share, blas_threads
 from .registry import build_policy, policy_entry
 
@@ -41,14 +40,18 @@ __all__ = ["JsonSpec", "DatasetSpec", "PolicySpec", "ExperimentSpec", "decode", 
 
 @functools.cache
 def _field_types(cls) -> dict:
-    """Field name → decoding type (``X | None`` unwrapped), resolved once per class."""
+    """Field name → (decoding type, accepts ``null``), resolved once per class.
+
+    Only an ``X | None`` field accepts ``null``; its decoding type is ``X``.
+    """
     hints = get_type_hints(cls)
     types = {}
     for spec_field in fields(cls):
         hint = hints[spec_field.name]
-        if type(None) in get_args(hint):
+        nullable = type(None) in get_args(hint)
+        if nullable:
             hint = next(arg for arg in get_args(hint) if arg is not type(None))
-        types[spec_field.name] = hint
+        types[spec_field.name] = hint, nullable
     return types
 
 
@@ -70,7 +73,8 @@ def decode(cls, data: dict, what: str):
 
     Fields typed as a dataclass (or a list of one) decode through that
     class's own ``from_dict``, so its checks run at any depth; ``int`` and
-    ``float`` fields are coerced; any other value reaches the dataclass's own
+    ``float`` fields are coerced; ``null`` is rejected unless the field is
+    typed ``X | None``; any other value reaches the dataclass's own
     validation.  ``what`` names the document in errors.
     """
     if not isinstance(data, dict):
@@ -79,8 +83,11 @@ def decode(cls, data: dict, what: str):
     unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)} (known: {sorted(types)})")
+    for key, value in data.items():
+        if value is None and not types[key][1]:
+            raise ValueError(f"invalid {what}: {key} must not be null")
     try:
-        return cls(**{key: _decode_field(types[key], key, value) for key, value in data.items()})
+        return cls(**{key: _decode_field(types[key][0], key, value) for key, value in data.items()})
     except TypeError as error:
         raise ValueError(f"invalid {what}: {error}") from None
 
@@ -289,12 +296,12 @@ def run_spec(
     :meth:`DatasetSpec.build`); the sweep runner passes the cache it
     pre-populated so worker processes skip trace regeneration.
 
-    ``vectorize`` runs the spec's policies through the episode-vectorized
-    platform in lockstep groups of up to that many replicas instead of one
-    after another: the DDQN replicas' candidate scorings and train steps are
-    fused across replicas (see :class:`repro.eval.VectorizedRunner`) while
-    every result stays float-for-float identical to the serial run.  Note
-    that a lockstep group keeps all of its policies in memory at once.
+    ``vectorize`` runs the spec's policies in lockstep groups of up to that
+    many replicas instead of one after another (see
+    :func:`repro.eval.runner.run_replicas`): the DDQN replicas' candidate
+    scorings and train steps are fused across replicas while every result
+    stays float-for-float identical to the serial run.  A policy is built
+    only when its group starts.
 
     ``cell_threads`` runs the (non-vectorized) policies on a thread pool of
     that size instead of one after another: the policies share nothing (each
@@ -303,7 +310,7 @@ def run_spec(
     order while independent simulations overlap.  While the pool runs, BLAS
     gets :func:`repro.nn.threads.blas_share` threads, so pool threads × BLAS
     threads stays within the thread budget.  Ignored when ``vectorize`` is
-    active (the lockstep path has its own fusion).
+    above 1 (the lockstep groups have their own fusion).
     """
     if not spec.policies:
         raise ValueError(f"experiment spec {spec.name!r} lists no policies")
@@ -319,29 +326,24 @@ def run_spec(
         dataset = spec.dataset.build(cache_dir=dataset_cache_dir, write_cache=False)
 
     jobs = _policy_jobs(spec, dataset, checkpoint_dir)
-    width = 1 if vectorize is None else vectorize
-    if width > 1:
-        # One lockstep chunk at a time: at most ``width`` trained frameworks
-        # are resident at once.
-        results: dict[str, EvaluationResult] = {}
-        while chunk := list(itertools.islice(jobs, width)):
-            replicas = [(dataset, policy, path) for _, policy, path in chunk]
-            chunk_results = VectorizedRunner(replicas, spec.runner, resume=resume).run()
-            results.update(zip([label for label, _, _ in chunk], chunk_results))
-        return results
-
-    runner = SimulationRunner(dataset, spec.runner)
+    width = vectorize or 1
     threads = min(cell_threads or 1, len(spec.policies))
-    if threads > 1:
+    if width == 1 and threads > 1:
         # Build every policy first, so a bad label fails before any run starts.
         items = list(jobs)
+        runner = SimulationRunner(dataset, spec.runner)
         with blas_threads(blas_share(threads)), ThreadPoolExecutor(threads) as pool:
             futures = [
                 pool.submit(runner.run, policy, checkpoint_path=path, resume=resume)
                 for _, policy, path in items
             ]
             return {label: future.result() for (label, _, _), future in zip(items, futures)}
-    return {
-        label: runner.run(policy, checkpoint_path=path, resume=resume)
-        for label, policy, path in jobs
-    }
+    labels: list[str] = []
+
+    def replicas():
+        for label, policy, path in jobs:
+            labels.append(label)
+            yield dataset, policy, path
+
+    results = run_replicas(replicas(), spec.runner, width, resume)
+    return dict(zip(labels, results))

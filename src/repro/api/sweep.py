@@ -9,7 +9,10 @@ cartesian product of the axes expands into concrete per-cell specs
 (:meth:`SweepSpec.expand`), and a :class:`SweepRunner` executes the cells —
 serially or across a ``multiprocessing`` worker pool (every cell builds its
 own dataset and policies, so cells are embarrassingly parallel and the two
-execution modes produce identical results).
+execution modes produce identical results).  A job is a list of cells: one
+cell, or with ``vectorize`` the cells of one replicate group, whose (cell,
+policy) pairs run through :func:`repro.eval.runner.run_replicas` in
+lockstep groups, each policy built when its group starts.
 
 Results are stored cell-by-cell as JSON files inside the sweep directory, so
 an interrupted sweep is resumed by simply running it again: finished cells
@@ -38,7 +41,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..eval.reporting import MEASURES, format_table, result_payload
-from ..eval.runner import RunnerConfig, VectorizedRunner
+from ..eval.runner import RunnerConfig, run_replicas
 from ..nn.threads import blas_share, set_num_threads
 from .spec import (
     DatasetSpec,
@@ -46,7 +49,6 @@ from .spec import (
     JsonSpec,
     _policy_jobs,
     _UNSAFE_COMPONENT,
-    run_spec,
 )
 
 __all__ = [
@@ -226,89 +228,40 @@ class SweepSpec(JsonSpec):
 # --------------------------------------------------------------------- #
 # Cell execution (top-level so multiprocessing workers can import it)
 # --------------------------------------------------------------------- #
-def _execute_cell(payload: dict) -> dict:
-    """Run one cell's spec and return its JSON-ready result document.
+def _execute_cells(job: dict) -> list[dict]:
+    """Pool entry point: run a job's cells and return their result documents.
 
+    Every (cell, policy) pair is one replica of
+    :func:`repro.eval.runner.run_replicas`, in lockstep groups of the job's
+    ``vectorize`` width, so a policy is built only when its group starts.
     Cells always run with ``resume=True``: a cell killed mid-flight left its
     auto-checkpoints (and their run-state sidecars) behind, and the re-run
     fast-forwards to the checkpointed arrival instead of redoing finished
     work — bit-identically to an uninterrupted run.
     """
-    spec = ExperimentSpec.from_dict(payload["spec"])
-    results = run_spec(
-        spec,
-        checkpoint_dir=payload.get("checkpoint_dir"),
-        dataset_cache_dir=payload.get("dataset_cache_dir"),
-        vectorize=payload.get("vectorize"),
-        resume=True,
-    )
-    return {
-        "cell_id": payload["cell_id"],
-        "group_id": payload["group_id"],
-        "assignments": payload["assignments"],
-        "spec": payload["spec"],
-        "results": {label: result_payload(result) for label, result in results.items()},
-    }
-
-
-def _execute_cell_group(group_payload: dict) -> list[dict]:
-    """Run several cells of one replicate group lockstep (episode-vectorized).
-
-    Every (cell, policy label) pair becomes one replica; the replicas advance
-    through :class:`repro.eval.VectorizedRunner` in lockstep chunks of
-    ``vectorize``, fusing the DDQN replicas' forwards and train steps across
-    the seed-replicate cells.  Per-cell result documents are identical
-    (timing noise aside) to running each cell through
-    :func:`_execute_cell` — the caller guarantees the cells share one runner
-    configuration.
-    """
-    width = int(group_payload["vectorize"])
-    payloads = group_payload["cells"]
-    prepared: list[tuple[dict, ExperimentSpec, dict]] = []
-    replicas: list[tuple] = []
-    owners: list[tuple[int, str]] = []
-    for cell_index, payload in enumerate(payloads):
-        spec = ExperimentSpec.from_dict(payload["spec"])
-        dataset = spec.dataset.build(
-            cache_dir=payload.get("dataset_cache_dir"), write_cache=False
-        )
-        for label, policy, path in _policy_jobs(spec, dataset, payload.get("checkpoint_dir")):
-            replicas.append((dataset, policy, path))
-            owners.append((cell_index, label))
-        prepared.append((payload, spec, {}))
-
-    config = prepared[0][1].runner
-    for _, spec, _ in prepared:
-        if spec.runner != config:
-            raise ValueError(
-                "lockstep cell groups require identical runner configurations "
-                f"(sweep cell {spec.name!r} differs)"
-            )
-    results: list = []
-    for start in range(0, len(replicas), width):
-        chunk = replicas[start : start + width]
-        results.extend(VectorizedRunner(chunk, config, resume=True).run())
-
-    for (cell_index, label), result in zip(owners, results):
-        prepared[cell_index][2][label] = result
-    return [
-        {
-            "cell_id": payload["cell_id"],
-            "group_id": payload["group_id"],
-            "assignments": payload["assignments"],
-            "spec": payload["spec"],
-            "results": {label: result_payload(result) for label, result in cell_results.items()},
-        }
-        for payload, _, cell_results in prepared
+    payloads = job["cells"]
+    specs = [ExperimentSpec.from_dict(payload["spec"]) for payload in payloads]
+    config = specs[0].runner
+    if any(spec.runner != config for spec in specs):
+        raise ValueError("the cells of a sweep job must share one runner configuration")
+    documents = [
+        {key: payload[key] for key in ("cell_id", "group_id", "assignments", "spec")}
+        | {"results": {}}
+        for payload in payloads
     ]
+    owners: list[tuple[dict, str]] = []
 
+    def replicas():
+        for payload, spec, document in zip(payloads, specs, documents):
+            dataset = spec.dataset.build(cache_dir=payload["dataset_cache_dir"], write_cache=False)
+            for label, policy, path in _policy_jobs(spec, dataset, payload.get("checkpoint_dir")):
+                owners.append((document["results"], label))
+                yield dataset, policy, path
 
-def _execute_job(job: tuple[str, dict]) -> list[dict]:
-    """Pool entry point: run a single cell or a lockstep cell group."""
-    kind, payload = job
-    if kind == "cell":
-        return [_execute_cell(payload)]
-    return _execute_cell_group(payload)
+    results = run_replicas(replicas(), config, job["vectorize"], resume=True)
+    for (cell_results, label), result in zip(owners, results):
+        cell_results[label] = result_payload(result)
+    return documents
 
 
 def _worker_pool(processes: int):
@@ -533,45 +486,25 @@ class SweepRunner:
             payload["checkpoint_dir"] = str(self.directory / "checkpoints" / cell.cell_id)
         return payload
 
-    def _jobs(self, pending: list[SweepCell]) -> list[tuple[str, dict]]:
-        """Pending cells as pool jobs: plain cells, or lockstep cell groups.
+    def _jobs(self, pending: list[SweepCell]) -> list[dict]:
+        """Pending cells as pool jobs, each a list of cells and a lockstep width.
 
-        With ``vectorize`` set, cells of one replicate group (same grid
+        With ``vectorize`` above 1, cells of one replicate group (same grid
         point, different replicate value) that share a runner configuration
-        are fused into one lockstep job — each of its (cell, policy) pairs
-        becomes a replica of an episode-vectorized run.  Every other cell
-        still runs as its own job (``vectorize`` then fuses only the
-        policies *within* the cell).
+        form one job, so their (cell, policy) pairs fill lockstep groups
+        together; otherwise each cell is its own job.
         """
-        if self.vectorize is None or self.vectorize <= 1:
-            return [("cell", self._job(cell)) for cell in pending]
-        by_group: dict[tuple, list[SweepCell]] = {}
-        order: list[tuple] = []
+        width = self.vectorize or 1
+        jobs: dict[object, list[dict]] = {}
         for cell in pending:
             # Lockstep requires one shared runner config across the group.
-            key = (cell.group_id, json.dumps(asdict(cell.spec.runner), sort_keys=True))
-            if key not in by_group:
-                by_group[key] = []
-                order.append(key)
-            by_group[key].append(cell)
-        jobs: list[tuple[str, dict]] = []
-        for key in order:
-            group = by_group[key]
-            if len(group) == 1:
-                payload = self._job(group[0])
-                payload["vectorize"] = self.vectorize
-                jobs.append(("cell", payload))
-            else:
-                jobs.append(
-                    (
-                        "group",
-                        {
-                            "vectorize": self.vectorize,
-                            "cells": [self._job(cell) for cell in group],
-                        },
-                    )
-                )
-        return jobs
+            key = (
+                (cell.group_id, json.dumps(asdict(cell.spec.runner), sort_keys=True))
+                if width > 1
+                else cell.cell_id
+            )
+            jobs.setdefault(key, []).append(self._job(cell))
+        return [{"vectorize": width, "cells": cells} for cells in jobs.values()]
 
     def _write_cell(self, document: dict) -> None:
         path = self._cell_path(document["cell_id"])
@@ -603,11 +536,11 @@ class SweepRunner:
         jobs = self._jobs(pending)
         if self.workers == 1 or len(jobs) <= 1:
             for job in jobs:
-                for document in _execute_job(job):
+                for document in _execute_cells(job):
                     _record(document)
         else:
             with _worker_pool(min(self.workers, len(jobs))) as pool:
-                for documents in pool.imap_unordered(_execute_job, jobs):
+                for documents in pool.imap_unordered(_execute_cells, jobs):
                     for document in documents:
                         _record(document)
 

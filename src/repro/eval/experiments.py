@@ -33,7 +33,7 @@ from ..datasets import (
     scalability_snapshot,
 )
 from .metrics import EvaluationResult
-from .runner import RunnerConfig, SimulationRunner
+from .runner import RunnerConfig
 
 __all__ = [
     "ExperimentScale",
@@ -362,19 +362,6 @@ class BenefitExperimentResult:
         return sorted(finals, key=finals.get, reverse=True)
 
 
-def _run_policies(
-    dataset: CrowdDataset,
-    policies: list[ArrangementPolicy],
-    scale: ExperimentScale,
-    runner_config: RunnerConfig | None = None,
-) -> BenefitExperimentResult:
-    config = runner_config if runner_config is not None else RunnerConfig(
-        seed=scale.seed, max_arrivals=scale.max_arrivals
-    )
-    runner = SimulationRunner(dataset, config)
-    return BenefitExperimentResult([runner.run(policy) for policy in policies])
-
-
 def run_worker_benefit_experiment(
     scale: ExperimentScale | None = None,
     dataset: CrowdDataset | None = None,
@@ -458,22 +445,16 @@ def run_efficiency_experiment(
 def run_arrival_density_experiment(
     sampling_rates: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0),
     scale: ExperimentScale | None = None,
-    policies_factory=None,
 ) -> dict[float, BenefitExperimentResult]:
     """Fig. 10(a,b): CR and QG as the worker-arrival volume is resampled."""
     scale = scale if scale is not None else ExperimentScale.ci()
     base_dataset = make_dataset(scale)
     outcomes: dict[float, BenefitExperimentResult] = {}
+    spec = density_spec(scale)
     for rate in sampling_rates:
         dataset = resample_arrival_density(base_dataset, rate, seed=scale.seed)
-        factory = policies_factory if policies_factory is not None else _density_policies
-        outcomes[rate] = _run_policies(dataset, factory(dataset, scale), scale)
+        outcomes[rate] = BenefitExperimentResult(list(run_spec(spec, dataset=dataset).values()))
     return outcomes
-
-
-def _density_policies(dataset: CrowdDataset, scale: ExperimentScale) -> list[ArrangementPolicy]:
-    """The five methods shown in Fig. 10: Random, Greedy CS, LinUCB, Greedy NN, DDQN."""
-    return _build_spec_policies(density_spec(scale), dataset)
 
 
 def run_quality_noise_experiment(

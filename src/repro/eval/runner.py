@@ -10,14 +10,17 @@ day boundary through :meth:`ArrangementPolicy.end_of_day`.
 The loop itself lives in :class:`ReplicaRun.loop`, a generator that *yields*
 its two policy interactions — ``("rank", context)`` and ``("observe",
 context, presented, feedback)`` — instead of calling the policy directly.
-:class:`SimulationRunner` answers one loop's requests immediately (the serial
-run); :class:`VectorizedRunner` advances N loops in lockstep and answers each
-round's requests together, fusing the framework replicas' network forwards
-and train steps across replicas (see :mod:`repro.core.vectorized`).  Both
-paths execute the identical loop code, which is what makes a vectorized
-replica's results float-for-float equal to its serial run.
+:class:`VectorizedRunner` is the one offline driver: it advances N loops in
+lockstep and answers each round's requests together through
+:func:`~repro.core.vectorized.decide_lockstep` and
+:func:`~repro.core.vectorized.observe_lockstep`, fusing the framework
+replicas' network forwards and train steps across replicas.
+:meth:`SimulationRunner.run` is its one-replica run, and :func:`run_replicas`
+feeds it lockstep groups taken lazily from a line-up, so a policy is built
+only when its group starts.  A replica's results are float-for-float equal
+whatever group it runs in.
 
-A third driver lives outside this module: the serving layer
+A second driver lives outside this module: the serving layer
 (:mod:`repro.serve`) runs the same loop against a *push-fed* event stream.
 When that stream has no buffered arrival it returns the
 :data:`repro.crowd.vectorized.STARVED` sentinel and the loop yields an
@@ -28,10 +31,11 @@ cursors never starve, so the offline drivers never see idle requests.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Generator, Sequence
+from typing import Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +57,7 @@ __all__ = [
     "SimulationRunner",
     "VectorizedRunner",
     "evaluate_policy",
+    "run_replicas",
     "RUNSTATE_FORMAT",
     "runstate_path",
 ]
@@ -537,21 +542,13 @@ class SimulationRunner:
         loop state; with ``resume=True`` an existing sidecar fast-forwards
         the run to the checkpointed arrival instead of redoing finished
         arrivals, continuing bit-identically to an uninterrupted run.
+
+        This is the one-replica :class:`VectorizedRunner` run.
         """
-        drive = ReplicaRun(self.dataset, policy, self.config, checkpoint_path, resume)
-        loop = drive.loop()
-        response: object = None
-        while True:
-            try:
-                request = loop.send(response)
-            except StopIteration as stop:
-                return stop.value
-            if request[0] == "rank":
-                response = policy.rank_tasks(request[1])
-            else:
-                _, context, presented, feedback = request
-                policy.observe_feedback(context, presented, feedback)
-                response = None
+        [result] = VectorizedRunner(
+            [(self.dataset, policy, checkpoint_path)], self.config, resume
+        ).run()
+        return result
 
     # ------------------------------------------------------------------ #
     def replay_decisions(
@@ -606,10 +603,11 @@ class VectorizedRunner:
     ``replicas`` holds one ``(dataset, policy)`` pair per replica (optionally
     ``(dataset, policy, checkpoint_path)``); all replicas share one
     :class:`RunnerConfig`.  Per-replica results are float-for-float equal to
-    ``SimulationRunner(dataset, config).run(policy, …)`` — replay memories,
-    RNG streams and explorer schedules stay per-replica, and every fused
-    network call is bit-identical per replica to the serial call it replaces
-    (see :mod:`repro.core.vectorized`).  Speed comes from batching the DDQN
+    a serial loop that answers each request with the policy's own
+    ``rank_tasks`` / ``observe_feedback`` — replay memories, RNG streams and
+    explorer schedules stay per-replica, and every fused network call is
+    bit-identical per replica to the serial call it replaces (see
+    :mod:`repro.core.vectorized`).  Speed comes from batching the DDQN
     replicas' candidate scorings and train steps across replicas; each round
     goes through the two lockstep calls whatever the policies are, and
     baselines simply answer through their own methods there.
@@ -663,6 +661,22 @@ class VectorizedRunner:
             return responses
 
         return VectorizedPlatform(loops).run(answer_round)  # type: ignore[return-value]
+
+
+def run_replicas(
+    replicas: Iterable[tuple], config: RunnerConfig, width: int = 1, resume: bool = False
+) -> list[EvaluationResult]:
+    """Run ``replicas`` in lockstep groups of ``width``; results in replica order.
+
+    The next group is taken from the iterable only after the previous one has
+    finished, so a lazily built line-up builds each policy only when its
+    group starts.
+    """
+    replicas = iter(replicas)
+    results: list[EvaluationResult] = []
+    while group := list(itertools.islice(replicas, width)):
+        results.extend(VectorizedRunner(group, config, resume=resume).run())
+    return results
 
 
 def evaluate_policy(

@@ -129,6 +129,8 @@ class Endpoint:
         #: Live connection task → the links a front-end opened upstream for
         #: that client (shard index → (reader, writer)), closed with it.
         self._connections: dict[asyncio.Task, dict] = {}
+        #: Connections waiting for their next frame → their writers.
+        self._idle: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def _prepare(self) -> None:
         """Ready what this endpoint serves; :meth:`start` runs it before the bind."""
@@ -178,8 +180,14 @@ class Endpoint:
         upstream: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
         self._connections[task] = upstream
         try:
-            while True:
-                line = await self._read_frame(reader)
+            # Once the drain is complete a connection stops reading: it closes
+            # after the answer it is writing.
+            while not self._shutdown_complete.is_set():
+                self._idle[task] = writer
+                try:
+                    line = await self._read_frame(reader)
+                finally:
+                    del self._idle[task]
                 if line is None:
                     break
                 request: dict = {}
@@ -275,8 +283,11 @@ class Endpoint:
         self._server.close()
         await self._server.wait_closed()
         if self._connections:
-            # Give in-flight responses (including the shutdown op's own
-            # answer) a moment to flush, then drop lingering idle clients.
+            # Close clients waiting for their next frame now (their read sees
+            # EOF and the handler ends normally); give in-flight responses,
+            # the shutdown op's own answer included, a moment to flush.
+            for writer in self._idle.values():
+                writer.close()
             _, pending = await asyncio.wait(set(self._connections), timeout=2.0)
             for task in pending:
                 task.cancel()

@@ -49,7 +49,7 @@ __all__ = ["SupervisorSpec", "TenantSpec", "ServeSpec"]
 
 #: Tenant names become checkpoint file stems (``<state_dir>/<name>.npz``), so
 #: they are restricted to the registry's slug alphabet.
-_TENANT_NAME = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
+_TENANT_NAME = re.compile(r"[a-z0-9][a-z0-9_-]*")
 
 
 @dataclass
@@ -99,7 +99,7 @@ class TenantSpec(JsonSpec):
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
         spec = super().from_dict(data)
-        if not isinstance(spec.name, str) or not _TENANT_NAME.match(spec.name):
+        if not isinstance(spec.name, str) or not _TENANT_NAME.fullmatch(spec.name):
             raise ValueError(
                 f"tenant name {spec.name!r} must be a lowercase slug "
                 "(letters, digits, '-' and '_', starting with a letter or digit)"

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import DatasetSpec, ExperimentSpec, PolicySpec, run_spec
 from repro.datasets import generate_crowdspring
-from repro.eval import RunnerConfig, SimulationRunner
+from repro.eval import RunnerConfig, VectorizedRunner
 from repro.nn import threads
 from tests.eval.test_determinism import assert_results_identical
 
@@ -64,13 +64,13 @@ class TestCellThreadBudget:
             pytest.skip("BLAS runtime not controllable on this numpy")
         before = threads.num_threads()
         seen: list[int | None] = []
-        original = SimulationRunner.run
+        original = VectorizedRunner.run
 
-        def recording_run(self, *args, **kwargs):
+        def recording_run(self):
             seen.append(threads.num_threads())
-            return original(self, *args, **kwargs)
+            return original(self)
 
-        monkeypatch.setattr(SimulationRunner, "run", recording_run)
+        monkeypatch.setattr(VectorizedRunner, "run", recording_run)
         monkeypatch.setenv(threads.BUDGET_ENV_VAR, "2")
         monkeypatch.delenv(threads.ENV_VAR, raising=False)
         threads.set_num_threads(2)

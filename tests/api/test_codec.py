@@ -189,6 +189,49 @@ def test_int_and_float_fields_are_coerced():
         ServeSpec.from_dict(edited(serve_doc(), ("limits", "max_queue_depth"), [1]))
 
 
+NULL_REJECTED_CASES = [
+    *[(ServeSpec, serve_doc, ("tenants", 0, "dataset", key)) for key in ("scale", "num_months", "seed")],
+    *[
+        (ServeSpec, serve_doc, ("tenants", 0, "runner", key))
+        for key in ("k", "quality_p", "seed", "interest_sharpness", "position_decay")
+    ],
+    *[(ServeSpec, serve_doc, (key,)) for key in ("port", "shards")],
+    *[
+        (ServeSpec, serve_doc, ("limits", key))
+        for key in ("max_frame_bytes", "request_timeout_s", "max_queue_depth", "degrade_queue_lag")
+    ],
+    *[
+        (ServeSpec, serve_doc, ("supervisor", key))
+        for key in ("max_restarts", "backoff_base_s", "backoff_max_s")
+    ],
+    (SweepSpec, sweep_doc, ("base", "dataset", "seed")),
+    (SweepSpec, sweep_doc, ("base", "runner", "seed")),
+    (FaultPlan, plan_doc, ("seed",)),
+    *[(FaultPlan, plan_doc, ("faults", 0, key)) for key in ("after", "every", "delay_ms")],
+]
+
+
+@pytest.mark.parametrize(
+    "cls, document, path",
+    NULL_REJECTED_CASES,
+    ids=[".".join(map(str, case[2])) for case in NULL_REJECTED_CASES],
+)
+def test_required_numeric_fields_reject_null(cls, document, path):
+    with pytest.raises(ValueError, match=f"invalid .*: {path[-1]} must not be null"):
+        cls.from_dict(edited(document(), path, None))
+
+
+def test_optional_fields_accept_null():
+    document = edited(serve_doc(), ("tenants", 0, "runner", "max_arrivals"), None)
+    document = edited(document, ("tenants", 0, "runner", "checkpoint_every"), None)
+    runner = ServeSpec.from_dict(document).tenants[0].runner
+    assert runner.max_arrivals is None and runner.checkpoint_every is None
+    document = edited(plan_doc(), ("faults", 0, "times"), None)
+    document = edited(document, ("faults", 0, "probability"), None)
+    fault = FaultPlan.from_dict(document).specs[0]
+    assert fault.times is None and fault.probability is None
+
+
 def test_to_dict_writes_every_field():
     spec = ExperimentSpec.from_dict(sweep_doc()["base"])
     assert spec.to_dict()["policies"] == [{"policy": "random", "kwargs": {"seed": 0}, "label": None}]

@@ -165,19 +165,19 @@ class TestRunSpec:
         # At most one trained framework is resident at a time.
         events: list[str] = []
         build_policy = spec_module.build_policy
-        run = SimulationRunner.run
+        run = VectorizedRunner.run
 
         def recording_build(name, dataset, **kwargs):
             events.append(f"build {name}")
             return build_policy(name, dataset, **kwargs)
 
-        def recording_run(self, policy, *args, **kwargs):
-            result = run(self, policy, *args, **kwargs)
-            events.append(f"ran {policy.name}")
-            return result
+        def recording_run(self):
+            results = run(self)
+            events.extend(f"ran {policy.name}" for policy in self.policies)
+            return results
 
         monkeypatch.setattr(spec_module, "build_policy", recording_build)
-        monkeypatch.setattr(SimulationRunner, "run", recording_run)
+        monkeypatch.setattr(VectorizedRunner, "run", recording_run)
         run_spec(tiny_spec())
         assert events == ["build random", "ran Random", "build greedy-cosine", "ran Greedy CS"]
 

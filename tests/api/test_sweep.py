@@ -5,7 +5,9 @@ traces so the whole grid executes in seconds; the heavyweight DDQN cells are
 covered by the CLI smoke test and the determinism suite.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -20,8 +22,9 @@ from repro.api import (
     format_sweep_table,
     run_sweep,
 )
+from repro.api import spec as spec_module
 from repro.api.sweep import _worker_pool
-from repro.eval import RunnerConfig
+from repro.eval import RunnerConfig, VectorizedRunner
 from repro.eval.experiments import ExperimentScale, balance_sweep_spec, density_sweep_spec
 from repro.nn import threads
 
@@ -365,3 +368,36 @@ class TestVectorizedSweep:
     def test_invalid_vectorize_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="vectorize"):
             SweepRunner(self.ddqn_sweep(), tmp_path / "bad", vectorize=0)
+
+    def test_lockstep_job_builds_each_policy_when_its_group_starts(self, tmp_path, monkeypatch):
+        # 2 seed-replicate cells x 3 frameworks at width 2 form one job of
+        # three lockstep groups; only the running group's frameworks exist.
+        built = weakref.WeakSet()
+        alive: list[int] = []
+        build_policy = spec_module.build_policy
+        run = VectorizedRunner.run
+
+        def recording_build(name, dataset, **kwargs):
+            policy = build_policy(name, dataset, **kwargs)
+            built.add(policy)
+            return policy
+
+        def recording_run(self):
+            gc.collect()
+            alive.append(len(built))
+            return run(self)
+
+        monkeypatch.setattr(spec_module, "build_policy", recording_build)
+        monkeypatch.setattr(VectorizedRunner, "run", recording_run)
+        sweep = self.ddqn_sweep()
+        sweep.axes[0].values = [1, 2]
+        sweep.base.policies = [
+            PolicySpec(
+                "ddqn-worker",
+                {"hidden_dim": 8, "num_heads": 2, "batch_size": 4, "seed": seed},
+                label=f"DDQN-{seed}",
+            )
+            for seed in range(3)
+        ]
+        run_sweep(sweep, tmp_path / "lazy", vectorize=2)
+        assert alive == [2, 2, 2]

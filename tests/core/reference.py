@@ -14,6 +14,12 @@ clip, step, priority and sync code (``_finish_update``).
 and per query; :func:`sumtree_update`, :func:`sumtree_find` and
 :func:`prioritized_sample` are those walks.
 
+**Serial run.**  ``SimulationRunner.run`` is the one-replica call of the
+lockstep runner, which answers every round through ``decide_lockstep`` and
+``observe_lockstep``.  :func:`serial_run` is the plain loop it replaced: it
+answers each request of one replica's loop with the policy's own
+``rank_tasks`` / ``observe_feedback``.
+
 All of them are kept only so the equivalence tests can compare against them.
 """
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import DoubleDQNLearner, PrioritizedReplayMemory, SumTree, Transition
+from repro.eval import ReplicaRun
 from repro.nn import Tensor, no_grad
 
 
@@ -106,3 +113,20 @@ def prioritized_sample(memory: PrioritizedReplayMemory, batch_size: int):
     weights /= weights.max()
     memory.beta = min(1.0, memory.beta + memory.beta_increment)
     return [memory._storage[int(index)] for index in indices], indices, weights
+
+
+def serial_run(dataset, policy, config):
+    """One replica's loop, each request answered by the policy's own methods."""
+    loop = ReplicaRun(dataset, policy, config).loop()
+    response = None
+    while True:
+        try:
+            request = loop.send(response)
+        except StopIteration as stop:
+            return stop.value
+        if request[0] == "rank":
+            response = policy.rank_tasks(request[1])
+        else:
+            _, context, presented, feedback = request
+            policy.observe_feedback(context, presented, feedback)
+            response = None

@@ -10,7 +10,9 @@ import pytest
 
 from repro.baselines import RandomPolicy
 from repro.core import TaskArrangementFramework
+from repro.eval import RunnerConfig, SimulationRunner
 from repro.eval.experiments import (
+    BenefitExperimentResult,
     EfficiencyResult,
     ExperimentScale,
     benchmark_framework_config,
@@ -19,7 +21,6 @@ from repro.eval.experiments import (
     run_scalability_experiment,
     run_trace_statistics,
     worker_benefit_policies,
-    _run_policies,
 )
 
 
@@ -72,7 +73,12 @@ class TestPolicyLineUps:
 
     def test_run_policies_produces_rankable_results(self, tiny):
         scale, dataset = tiny
-        outcome = _run_policies(dataset, [RandomPolicy(seed=0), RandomPolicy(seed=1)], scale)
+        runner = SimulationRunner(
+            dataset, RunnerConfig(seed=scale.seed, max_arrivals=scale.max_arrivals)
+        )
+        outcome = BenefitExperimentResult(
+            [runner.run(RandomPolicy(seed=0)), runner.run(RandomPolicy(seed=1))]
+        )
         finals = outcome.final("nDCG-CR")
         assert len(finals) >= 1
         ranking = outcome.ranking("nDCG-CR")

@@ -2,11 +2,14 @@
 
 The lockstep platform's contract: a :class:`repro.eval.VectorizedRunner` run
 over N replicas produces, for every replica, *exactly* the
-:class:`EvaluationResult` its serial ``SimulationRunner.run`` produces —
-bitwise on every measure, for every registered policy, whether or not the
-replicas' network work fuses (DDQN with a fixed ``max_tasks`` fuses; ragged
-shapes and baselines run lockstep unfused).  Timing fields are machine noise
-and excluded, as everywhere else in the determinism layer.
+:class:`EvaluationResult` of a plain serial loop that answers each request
+with the policy's own ``rank_tasks`` / ``observe_feedback``
+(``tests.core.reference.serial_run``) — bitwise on every measure, for every
+registered policy, whether or not the replicas' network work fuses (DDQN
+with a fixed ``max_tasks`` fuses; ragged shapes and baselines run lockstep
+unfused).  ``SimulationRunner.run`` is the N = 1 case, so the N = 1 tests
+pin it too.  Timing fields are machine noise and excluded, as everywhere
+else in the determinism layer.
 """
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.api import (
 )
 from repro.datasets import generate_crowdspring
 from repro.eval import RunnerConfig, SimulationRunner, VectorizedRunner
+from tests.core import reference
 from tests.eval.test_determinism import assert_results_identical
 
 TINY_DDQN = {"hidden_dim": 8, "num_heads": 2, "batch_size": 4, "seed": 0, "max_tasks": 12}
@@ -48,7 +52,7 @@ def datasets():
 
 
 def serial_run(dataset, name, kwargs):
-    return SimulationRunner(dataset, CONFIG).run(build_policy(name, dataset, **kwargs))
+    return reference.serial_run(dataset, build_policy(name, dataset, **kwargs), CONFIG)
 
 
 class TestVectorizedEqualsSerial:

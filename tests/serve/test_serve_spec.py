@@ -78,7 +78,7 @@ class TestRejections:
             ServeSpec.from_dict(serve_dict(tenants=[]))
 
     def test_bad_tenant_slug_raises(self):
-        for name in ("Alpha", "a/b", "", "-leading", "sp ace"):
+        for name in ("Alpha", "a/b", "", "-leading", "sp ace", "alpha\n"):
             with pytest.raises(ValueError, match="slug"):
                 TenantSpec.from_dict(tenant_dict(name=name))
 

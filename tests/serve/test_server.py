@@ -8,6 +8,7 @@ shutdown summary, so it must stay last in the file.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -175,6 +176,35 @@ def test_concurrent_connections_are_isolated(served, traces):
     for thread in threads:
         thread.join(timeout=120)
     assert not errors, errors
+
+
+def test_idle_client_does_not_hold_the_exit(cache_dir, capfd, caplog):
+    """A client waiting for its next frame is closed as soon as the drain ends."""
+    spec = ServeSpec.from_dict(
+        {
+            "name": "idle-client",
+            "port": 0,
+            "tenants": [
+                {
+                    "name": "solo",
+                    "dataset": {"scale": 0.03, "num_months": 2, "seed": 1},
+                    "runner": {"seed": 0},
+                    "policy": {"policy": "random", "kwargs": {"seed": 0}},
+                }
+            ],
+        }
+    )
+    thread = ServerThread(spec, dataset_cache_dir=cache_dir)
+    with ServeClient(*thread.address) as idle:
+        assert idle.request({"op": "ping"})["ok"]
+        with ServeClient(*thread.address) as client:
+            assert client.request({"op": "shutdown"})["ok"]
+        answered = time.perf_counter()
+        thread.join(timeout=30)
+        assert time.perf_counter() - answered < 1.0
+        assert idle._file.readline() == b""
+    assert "CancelledError" not in capfd.readouterr().err
+    assert "CancelledError" not in caplog.text
 
 
 def test_shutdown_drains_and_reports(served):
