@@ -254,8 +254,12 @@ def _policy_jobs(
     """Build each policy's ``(label, policy, checkpoint path)``, one at a time.
 
     Lazy, so a consumer that runs each policy before asking for the next
-    holds one trained framework at a time.  Raises on a repeated label.
+    holds one trained framework at a time.  Every policy name is looked up
+    before the first policy is built, so a typo'd name fails before any
+    (possibly hours-long) run starts.  Raises on a repeated label.
     """
+    for policy_spec in spec.policies:
+        policy_entry(policy_spec.policy)
     labels: set[str] = set()
     checkpoint_slugs: dict[str, str] = {}
     for policy_spec in spec.policies:
@@ -318,10 +322,6 @@ def run_spec(
         raise ValueError(f"vectorize must be >= 1 or None, got {vectorize}")
     if cell_threads is not None and cell_threads < 1:
         raise ValueError(f"cell_threads must be >= 1 or None, got {cell_threads}")
-    # Fail fast on typo'd policy names before any (possibly hours-long)
-    # simulation starts.
-    for policy_spec in spec.policies:
-        policy_entry(policy_spec.policy)
     if dataset is None:
         dataset = spec.dataset.build(cache_dir=dataset_cache_dir, write_cache=False)
 

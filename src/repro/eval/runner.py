@@ -615,7 +615,8 @@ class VectorizedRunner:
     Caveat: the per-replica ``mean_decision_seconds`` / ``mean_update_seconds``
     timing fields are measured around the lockstep round, so each replica's
     timer absorbs the whole fused batch (and the other replicas' simulation)
-    — they do not isolate one policy's cost the way a serial run does.
+    — only a one-replica run's timers isolate its policy's cost (plus the
+    round's few microseconds of bookkeeping).
     Timing fields are wall-clock noise throughout the determinism layer;
     compare throughput via total run time (as ``bench_endtoend``'s
     multi-replica section does), never via these per-replica means.

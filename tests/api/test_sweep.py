@@ -233,6 +233,22 @@ class TestSweepRunner:
         with pytest.raises(ValueError, match="workers"):
             SweepRunner(cheap_sweep(), tmp_path, workers=0)
 
+    @pytest.mark.parametrize("vectorize", [None, 2])
+    def test_unknown_policy_name_fails_before_any_run(self, tmp_path, monkeypatch, vectorize):
+        runs: list[int] = []
+        run = VectorizedRunner.run
+
+        def recording_run(self):
+            runs.append(len(self.policies))
+            return run(self)
+
+        monkeypatch.setattr(VectorizedRunner, "run", recording_run)
+        spec = cheap_sweep()
+        spec.base.policies += [PolicySpec("random", {"seed": 1}, label="R1"), PolicySpec("no-such")]
+        with pytest.raises(KeyError, match="unknown policy 'no-such'"):
+            run_sweep(spec, tmp_path / "sweep", vectorize=vectorize)
+        assert runs == []
+
     def test_format_sweep_table_renders_mean_std(self, tmp_path):
         aggregate = run_sweep(cheap_sweep(), tmp_path / "sweep")
         table = format_sweep_table(aggregate)
